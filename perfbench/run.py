@@ -49,7 +49,25 @@ def _import_program() -> None:
     sys.path.insert(0, str(src))
 
 
+def _stop_helpers() -> None:
+    """Stop the helper processes :mod:`multiprocessing` starts and
+    leaves to outlive the caller (the resource tracker the shared-memory
+    store registers with, and a fork server if one was used), waiting
+    until each has ended."""
+    from multiprocessing import forkserver, resource_tracker
+
+    resource_tracker._resource_tracker._stop()
+    forkserver._forkserver._stop()
+
+
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    finally:
+        _stop_helpers()
+
+
+def _main(argv) -> int:
     sys.path.insert(0, str(ROOT))
     args = _parse(argv)
     _import_program()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import multiprocessing as mp
 from pathlib import Path
 
@@ -204,3 +205,21 @@ def test_tracer_carries_forked_worker_spans_back(tmp_path):
     tracer.collect()
     assert [s.pid for s in tracer.spans] == [proc.pid]
     assert not list(tmp_path.glob("spans-*.json"))
+
+
+# -- process hygiene ---------------------------------------------------------
+
+def test_stop_helpers_ends_the_resource_tracker():
+    from multiprocessing import resource_tracker, shared_memory
+
+    from perfbench.run import _stop_helpers
+
+    shm = shared_memory.SharedMemory(create=True, size=16)
+    shm.close()
+    shm.unlink()
+    pid = resource_tracker._resource_tracker._pid
+    assert pid is not None
+    _stop_helpers()
+    assert resource_tracker._resource_tracker._pid is None
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)               # ended and reaped, not a zombie
