@@ -38,10 +38,12 @@ This package is the paper's primary contribution (§III-§IV):
   parent deals plan shards *ahead* through a bounded adaptive
   look-ahead window while each worker overlaps its local
   sample → gather → transfer chain with train+sync on stage threads —
-  process parallelism and stage overlap composed). All execute the
-  *same* plan and session, so hybrid
+  process parallelism and stage overlap composed), and
+  ``get_backend("sharded")`` returns :class:`ShardedBackend` (the
+  multi-node plane on one node: partition-owned dealing with accounted
+  remote gathers). All execute the *same* plan and session, so hybrid
   split, DRM, prefetch and transfer quantization behave identically on
-  each; new executors (e.g. multi-node sharding) join via
+  each; new executors join via
   :func:`register_backend` without touching the core and inherit the
   tiered conformance suite
   (``tests/integration/backend_conformance.py``) at the tier their

@@ -26,9 +26,11 @@ substrate. Seven ship with the library:
   **fusion** of the two statistical planes. The parent deals plan
   shards *ahead* through a bounded, adaptively-sized look-ahead
   window; each worker overlaps its local sample → gather → quantized
-  transfer chain with train+sync on ``PrefetchBuffer``-backed stage
-  threads over the shared store — process-level parallelism *and*
-  per-worker stage overlap at once (paper §IV composed).
+  transfer chain with train+sync on a one-lane
+  :class:`~repro.runtime.stage_chain.StageChain` (the chain the
+  pipelined plane runs with one lane per trainer) over the shared
+  store — process-level parallelism *and* per-worker stage overlap at
+  once (paper §IV composed).
 * ``"sharded"`` — :class:`ShardedBackend`: the multi-node plane. The
   graph is partitioned (``hash``/``bfs``) one shard per trainer; the
   feature store is shard-sliced, the parent deals each shard only the
@@ -45,12 +47,12 @@ on each; ``tests/integration/backend_conformance.py`` holds every
 registered backend (third-party ones included) to the conformance tier
 its :attr:`~ExecutionBackend.conformance_tier` flag declares: ``strict``
 backends must match the virtual reference bit for bit, ``statistical``
-backends (pipelined, process_sampling and process_pipelined — whose
-overlap or per-worker RNG streams preclude bit-parity by design) must
-preserve exact epoch coverage, per-worker shard disjointness, work
-conservation and loss/parameter closeness. Future executors
-(multi-node sharding) plug in through :func:`register_backend` and
-inherit the right tier for free. The full author guide — stage hooks,
+backends (pipelined, process_sampling, process_pipelined and sharded
+— whose overlap or per-worker RNG streams preclude bit-parity by
+design) must preserve exact epoch coverage, per-worker shard
+disjointness, work conservation and loss/parameter closeness. New
+executors plug in through :func:`register_backend` and inherit the
+right tier for free. The full author guide — stage hooks,
 tiers, shm manifest, worker RNG streams, registration — lives in
 ``docs/backends.md``.
 """

@@ -5,7 +5,7 @@ a :class:`~repro.runtime.core.TrainingSession` on some execution
 substrate. Backends never construct samplers, replicas, synchronizers or
 optimizers — the session owns construction; backends own *execution
 strategy* only. That is the whole point of the split: adding a new way to
-run training (process pool, async pipeline, multi-node sharding) means
+run training (process pool, async pipeline, partition sharding) means
 implementing this interface, not forking the runtime.
 
 Contract every backend must honor (so results are backend-independent):

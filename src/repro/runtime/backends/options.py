@@ -107,7 +107,7 @@ class OverlapOptions(LiveOptions):
     #: Hard cap the adaptive policy can never exceed.
     max_depth: int | None = None
     #: ``"realized"`` (calibrated) or ``"model"`` (analytic) depth
-    #: steering — see :func:`~.pipelined.resolve_depth_source`.
+    #: steering — see :class:`~.pipelined.LookaheadControl`.
     depth_source: str | None = None
     #: Node-level depth arbitration across concurrent sessions.
     allocator: "NodeAllocator | None" = None

@@ -5,27 +5,17 @@ substrates, but both still resolve iterations *lock-step*: every stage
 of iteration ``i`` finishes before iteration ``i+1`` starts anywhere.
 This backend is the paper's two-stage-prefetch claim made live: the
 producer stages of one iteration overlap the train stage of earlier
-ones, per trainer, with backpressure end-to-end:
-
-::
-
-    BatchPlan ──dispatcher──► [q_sample] ──sample──► [q_gather]
-        ──gather──► [q_transfer] ──transfer──► [q_train] ──► train+sync
-
-* a **dispatcher** thread drains the shared
-  :class:`~repro.runtime.core.BatchPlan` (one permutation per epoch,
-  quota slices in trainer order — epoch coverage stays *exact*) and fans
-  each trainer's targets into its sample queue;
-* per trainer, three stage threads — **sample** (via
-  ``session.sample_stage``, whose lock keeps the shared RNG stream
-  uncorrupted), **feature-gather** (``session.gather_stage``, host-DDR
-  row gather) and **quantized transfer** (``session.transfer_stage``,
-  the PCIe link policy) — pass items through bounded
-  :class:`~repro.runtime.prefetch.PrefetchBuffer` queues;
-* the caller's thread is the **train + synchronizer** stage: it consumes
-  prepared batches in iteration order, trains every replica, and runs
-  the shared all-reduce through ``session.reduce_and_step`` — gradient
-  math stays synchronous SGD, identical to every other backend.
+ones, per trainer, with backpressure end-to-end. A **dispatcher**
+thread drains the shared :class:`~repro.runtime.core.BatchPlan` (one
+permutation per epoch, quota slices in trainer order — epoch coverage
+stays *exact*) into a :class:`~repro.runtime.stage_chain.StageChain`
+with one lane per trainer over ``session.pipeline`` (sample → gather →
+transfer stage threads, the sampler lock keeping the shared RNG stream
+uncorrupted).
+The caller's thread is the **train + synchronizer** stage: it consumes
+prepared batches in iteration order, trains every replica, and runs the
+shared all-reduce through ``session.reduce_and_step`` — gradient math
+stays synchronous SGD, identical to every other backend.
 
 **Adaptive look-ahead** (replacing a fixed prefetch ``depth``): after
 each iteration the timing plane's
@@ -50,16 +40,15 @@ stream order is the plan order, so the single-trainer case **is**
 bit-identical — pinned by the conformance suite.
 
 This plane's overlap runs on threads under the GIL; the fused plane
-(:mod:`.process_pipelined`) reuses its :func:`adaptive_depth` policy
-and :class:`StageStats` reporting to run the same overlap *inside*
-GIL-free worker processes. The tier contract both planes share is
+(:mod:`.process_pipelined`) runs the same chain *inside* GIL-free
+worker processes and shares this module's look-ahead control
+(:class:`LookaheadControl`). The tier contract both planes share is
 documented in ``docs/backends.md``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -69,7 +58,6 @@ from ...errors import ProtocolError
 from ...kernels import scoped_counters
 from ...perfmodel.model import StageTimes, WorkloadSplit
 from ...sim.trace import Timeline
-from ..prefetch import PrefetchBuffer
 from ..protocol import ProtocolLog, Signal
 from ..resctl import (
     DEFAULT_ALLOCATOR,
@@ -77,33 +65,12 @@ from ..resctl import (
     OnlineEstimator,
     fold_worker_realized,
 )
+from ..stage_chain import StageChain, StageStats
 from .base import ExecutionBackend
 from .options import OverlapOptions
 
-#: Producer stages in pipeline order (the train stage consumes).
-PRODUCER_STAGES = ("sample", "gather", "transfer")
-
 #: Valid values of the overlapped planes' ``depth_source`` knob.
 DEPTH_SOURCES = ("realized", "model")
-
-
-def resolve_depth_source(depth_source: str | None) -> str:
-    """Resolve an overlapped backend's ``depth_source`` knob.
-
-    ``"realized"`` (the default) steers ``adaptive_depth`` and
-    ``drm_step`` from estimator-calibrated stage times — monitored
-    wall clocks corrected onto the analytic model's scale;
-    ``"model"`` reproduces the purely-analytic (pre-calibration)
-    trajectories bit for bit, which is what the regression pins and
-    the bit-parity tests construct with.
-    """
-    if depth_source is None:
-        return "realized"
-    if depth_source not in DEPTH_SOURCES:
-        raise ProtocolError(
-            f"unknown depth_source {depth_source!r}; expected one of "
-            f"{DEPTH_SOURCES}")
-    return depth_source
 
 
 def seed_depth(session, initial_depth: int, cap: int,
@@ -135,31 +102,6 @@ def seed_depth(session, initial_depth: int, cap: int,
     return 1
 
 
-def resolve_depths(session, initial_depth: int | None,
-                   max_depth: int | None) -> tuple[int, int]:
-    """Resolve an overlapped backend's ``(initial_depth, max_depth)``.
-
-    The single depth-construction policy both overlapped planes
-    (threaded pipeline, fused process pipeline) share: the initial
-    depth defaults to the session's ``prefetch_depth`` when two-stage
-    prefetching is on (else 1 — lock-step, matching the serialized
-    ablation presets); the cap defaults to 8 or the initial depth,
-    whichever is larger, so default construction is valid for *any*
-    session; an explicitly-passed cap below the initial depth still
-    fails loudly.
-    """
-    if initial_depth is None:
-        initial_depth = session.sys_cfg.prefetch_depth \
-            if session.sys_cfg.prefetch else 1
-    if initial_depth < 1:
-        raise ProtocolError("prefetch depth must be >= 1")
-    if max_depth is None:
-        max_depth = max(8, initial_depth)
-    if max_depth < initial_depth:
-        raise ProtocolError("max_depth must be >= initial depth")
-    return initial_depth, max_depth
-
-
 def adaptive_depth(times: StageTimes, cap: int, floor: int = 1) -> int:
     """Effective look-ahead from modelled stage-time ratios.
 
@@ -188,44 +130,6 @@ def adaptive_depth(times: StageTimes, cap: int, floor: int = 1) -> int:
     if not math.isfinite(ratio):
         return cap
     return max(floor, min(cap, math.ceil(ratio)))
-
-
-@dataclass(frozen=True)
-class StageStats:
-    """Occupancy accounting of one pipeline stage's buffers, aggregated
-    across trainers (the per-stage overlap report)."""
-
-    stage: str
-    items: int               # total items that passed through
-    high_water: int          # max occupancy seen on any trainer's buffer
-    mean_occupancy: float    # mean over buffers of sampled occupancy
-
-    def describe(self) -> str:
-        return (f"{self.stage}: items={self.items} "
-                f"hw={self.high_water} occ={self.mean_occupancy:.2f}")
-
-
-def fold_stage_stats(stage: str,
-                     entries: list[tuple[int, int, float]]
-                     ) -> StageStats:
-    """Aggregate per-buffer ``(items, high_water, mean_occupancy)``
-    entries into one stage's :class:`StageStats` (items summed,
-    high-water maxed, occupancy averaged). Shared by the pipelined
-    plane (folding over its in-process buffers) and the fused process
-    plane (folding over per-worker accounting shipped back over the
-    pipes), so the overlap report can never diverge between them.
-
-    An empty ``entries`` list (a worker whose shard was empty, a stage
-    no buffer ever carried) folds to a zeroed record rather than
-    tripping ``max()``/``np.mean`` on an empty sequence."""
-    if not entries:
-        return StageStats(stage=stage, items=0, high_water=0,
-                          mean_occupancy=0.0)
-    return StageStats(
-        stage=stage,
-        items=sum(e[0] for e in entries),
-        high_water=max(e[1] for e in entries),
-        mean_occupancy=float(np.mean([e[2] for e in entries])))
 
 
 def summarize_overlap(stage_stats: dict[str, StageStats],
@@ -277,7 +181,129 @@ class PipelinedReport:
         return summarize_overlap(self.stage_stats, self.depth_history)
 
 
-class PipelinedBackend(ExecutionBackend):
+class LookaheadControl:
+    """The adaptive look-ahead both overlapped backends share.
+
+    Owns, once: depth and ``depth_source`` resolution, the estimator,
+    the node-allocator grant taken for the length of :meth:`run`, the
+    live depth cap, the first window's seed, and the resize after each
+    ``timing_step``. A backend mixes it in ahead of its base class,
+    calls :meth:`_init_lookahead` from its constructor and implements
+    :meth:`_run_granted`. The knobs it resolves:
+
+    * ``initial_depth`` — the first window (defaults to the session's
+      ``prefetch_depth`` when two-stage prefetching is on, else 1 —
+      lock-step, matching the serialized ablation presets);
+    * ``max_depth`` — hard cap the adaptive policy never exceeds;
+      defaults to 8 or the initial depth, whichever is larger, so
+      default construction is valid for any session (an explicit cap
+      below the initial depth fails loudly);
+    * ``depth_source`` — ``"realized"`` (default) steers
+      ``adaptive_depth`` and ``drm_step`` from estimator-calibrated
+      stage times; ``"model"`` reproduces the purely-analytic
+      trajectories bit for bit — what the regression pins and the
+      bit-parity tests construct with;
+    * ``allocator`` — the :class:`~repro.runtime.resctl.NodeAllocator`
+      arbitrating look-ahead depth across concurrent sessions
+      (defaults to the process-global one).
+    """
+
+    def _init_lookahead(self, initial_depth: int | None,
+                        max_depth: int | None,
+                        depth_source: str | None,
+                        allocator: NodeAllocator | None) -> None:
+        cfg = self.session.sys_cfg
+        if initial_depth is None:
+            initial_depth = cfg.prefetch_depth if cfg.prefetch else 1
+        if initial_depth < 1:
+            raise ProtocolError("prefetch depth must be >= 1")
+        if max_depth is None:
+            max_depth = max(8, initial_depth)
+        if max_depth < initial_depth:
+            raise ProtocolError("max_depth must be >= initial depth")
+        if depth_source is None:
+            depth_source = "realized"
+        if depth_source not in DEPTH_SOURCES:
+            raise ProtocolError(
+                f"unknown depth_source {depth_source!r}; expected one "
+                f"of {DEPTH_SOURCES}")
+        self.initial_depth, self.max_depth = initial_depth, max_depth
+        self.depth_source = depth_source
+        self.allocator = allocator if allocator is not None \
+            else DEFAULT_ALLOCATOR
+        #: Calibrates the analytic model against the monitored wall
+        #: times; persists across runs, so a second run on the same
+        #: backend starts warm.
+        self.estimator = OnlineEstimator(monitor=None)
+        self._grant = None
+
+    def run(self, iterations: int):
+        """Execute ``iterations`` synchronized iterations, overlapped.
+
+        Claims a share of the node's look-ahead budget for the run; the
+        ``finally`` returns it the moment the run ends (success or
+        failure), so co-tenant sessions' caps rise immediately. The
+        report gets the buffers' overall high-water mark and, on timing
+        sessions, the estimator's calibration digest.
+        """
+        if iterations < 1:
+            raise ProtocolError("iterations must be >= 1")
+        self._grant = self.allocator.register(
+            name=f"{self.name}:{self.session.dataset.name}",
+            max_depth=self.max_depth)
+        try:
+            report = self._run_granted(iterations)
+        finally:
+            self._grant.release()
+            self._grant = None
+        report.prefetch_high_water = max(
+            (st.high_water for st in report.stage_stats.values()),
+            default=0)
+        if self.session.has_timing:
+            report.calibration = self.estimator.summary()
+        return report
+
+    def _run_granted(self, iterations: int):
+        raise NotImplementedError
+
+    def _depth_cap(self) -> int:
+        """Live adaptive-depth cap: the configured ``max_depth``
+        clamped by this run's current allocator share."""
+        cap = self.max_depth
+        if self._grant is not None and not self._grant.released:
+            cap = min(cap, self._grant.depth_cap)
+        return max(1, cap)
+
+    def _seed_depth(self, report) -> int:
+        """The first window's depth, recorded at iteration 0."""
+        depth = seed_depth(self.session, self.initial_depth,
+                           self._depth_cap(), self.depth_source,
+                           self.estimator)
+        report.depth_history.append((0, depth))
+        return depth
+
+    def _adapt_depth(self, it: int, times: StageTimes | None,
+                     depth: int, report, resize) -> int:
+        """After iteration ``it``'s ``timing_step``: steer the window
+        from its stage times, call ``resize(want)`` on a change, and
+        return the depth now in effect."""
+        if times is None or not self.session.sys_cfg.prefetch:
+            return depth
+        want = adaptive_depth(times, cap=self._depth_cap())
+        if want != depth:
+            resize(want)
+            report.depth_history.append((it + 1, want))
+        return want
+
+    # -- resctl hooks --------------------------------------------------
+    def _timing_estimator(self):
+        return self.estimator if self.session.has_timing else None
+
+    def _timing_calibrate(self) -> bool:
+        return self.depth_source == "realized"
+
+
+class PipelinedBackend(LookaheadControl, ExecutionBackend):
     """Overlapped producer/consumer execution on live threads.
 
     Parameters
@@ -286,30 +312,12 @@ class PipelinedBackend(ExecutionBackend):
         The shared runtime core. Timing-plane sessions drive the
         adaptive look-ahead from modelled stage times; functional-only
         sessions run at a fixed depth.
-    initial_depth:
-        Look-ahead every stage buffer starts with (defaults to the
-        session's ``prefetch_depth`` when two-stage prefetching is on,
-        else 1 — minimal in-flight work, matching the serialized
-        ablation presets).
-    max_depth:
-        Hard cap the adaptive policy can never exceed. Defaults to 8
-        or the initial depth, whichever is larger — default
-        construction is valid for *any* session, however deep its
-        configured ``prefetch_depth``; an explicitly-passed cap below
-        the initial depth still fails loudly.
+    initial_depth / max_depth / depth_source / allocator:
+        The look-ahead knobs (see :class:`LookaheadControl`); every
+        stage buffer starts at the first window's depth.
     timeout_s:
         Watchdog (a monotonic deadline) on every blocking stage handoff
         — a wedged pipeline fails fast instead of hanging the suite.
-    depth_source:
-        ``"realized"`` (default) calibrates the timing plane against
-        monitored stage wall times before it drives ``adaptive_depth``
-        and ``drm_step``; ``"model"`` reproduces the purely-analytic
-        trajectories bit for bit (see :func:`resolve_depth_source`).
-    allocator:
-        The node-level :class:`~repro.runtime.resctl.NodeAllocator`
-        arbitrating look-ahead depth across concurrent sessions
-        (defaults to the process-global one). The run registers on
-        entry and releases in a ``finally``.
     """
 
     name = "pipelined"
@@ -322,19 +330,11 @@ class PipelinedBackend(ExecutionBackend):
                  depth_source: str | None = None,
                  allocator: NodeAllocator | None = None) -> None:
         super().__init__(session)
-        self.initial_depth, self.max_depth = resolve_depths(
-            session, initial_depth, max_depth)
+        self._init_lookahead(initial_depth, max_depth, depth_source,
+                             allocator)
         if timeout_s <= 0:
             raise ProtocolError("timeout_s must be positive")
         self.timeout_s = timeout_s
-        self.depth_source = resolve_depth_source(depth_source)
-        self.allocator = allocator if allocator is not None \
-            else DEFAULT_ALLOCATOR
-        #: Calibrates the analytic model against the monitored wall
-        #: times; persists across runs, so a second run on the same
-        #: backend starts warm.
-        self.estimator = OnlineEstimator(monitor=None)
-        self._grant = None
 
     # ------------------------------------------------------------------
     def run_epoch(self, max_iterations: int | None = None
@@ -345,192 +345,49 @@ class PipelinedBackend(ExecutionBackend):
             iters = min(iters, max_iterations)
         return self.run(iters)
 
-    def run(self, iterations: int) -> PipelinedReport:
-        """Execute ``iterations`` synchronized iterations, overlapped.
-
-        Iterations follow the shared batch plan (rolling into fresh
+    def _run_granted(self, iterations: int) -> PipelinedReport:
+        """Iterations follow the shared batch plan (rolling into fresh
         epoch permutations as needed); the all-reduce stays a per-
-        iteration barrier, so only *producer* work runs ahead.
-        """
-        if iterations < 1:
-            raise ProtocolError("iterations must be >= 1")
-        # Claim a share of the node's look-ahead budget for this run;
-        # the finally returns it the moment the run ends (success or
-        # failure), so co-tenant sessions' caps rise immediately.
-        self._grant = self.allocator.register(
-            name=f"{self.name}:{self.session.dataset.name}",
-            max_depth=self.max_depth)
-        try:
-            return self._run_overlapped(iterations)
-        finally:
-            self._grant.release()
-            self._grant = None
-
-    def _depth_cap(self) -> int:
-        """Live adaptive-depth cap: the configured ``max_depth``
-        clamped by this run's current allocator share."""
-        cap = self.max_depth
-        if self._grant is not None and not self._grant.released:
-            cap = min(cap, self._grant.depth_cap)
-        return max(1, cap)
-
-    def _run_overlapped(self, iterations: int) -> PipelinedReport:
+        iteration barrier, so only *producer* work runs ahead."""
         s = self.session
-        n = s.num_trainers
         report = PipelinedReport(iterations=iterations)
         rows: list[list[float]] = []
-        depth = seed_depth(s, self.initial_depth, self._depth_cap(),
-                           self.depth_source, self.estimator)
-        report.depth_history.append((0, depth))
+        depth = self._seed_depth(report)
+        # Each chain thread enlists the session-scoped counter handle,
+        # so kernel_stats counts only this run's dispatches even when
+        # co-tenant sessions overlap in this process.
+        chain = StageChain(s.pipeline, [t.kind for t in s.trainers],
+                           depth, self.timeout_s,
+                           context=lambda: scoped_counters(self.counters))
+        # The dispatcher records each iteration's plan before putting
+        # it into the chain; the consumer reads it once that
+        # iteration's batches came out.
+        planned_by_it: dict = {}
 
-        # One buffer per (stage, trainer): the stage's output queue.
-        bufs = {stage: [PrefetchBuffer(depth) for _ in range(n)]
-                for stage in PRODUCER_STAGES}
-        bufs["train"] = [PrefetchBuffer(depth) for _ in range(n)]
-        error: dict = {"exc": None}
+        def dispatch() -> None:
+            for it, planned in s.work_source.iterate(iterations):
+                planned_by_it[it] = planned
+                for idx, targets in enumerate(planned.assignments):
+                    if targets is not None:
+                        report.trained_targets.append(targets)
+                    chain.put(idx, it, targets)
+            chain.close_input()
 
-        def fail(exc: BaseException) -> None:
-            if error["exc"] is None:
-                error["exc"] = exc
-            for stage_bufs in bufs.values():
-                for b in stage_bufs:
-                    b.close()
-
-        def dispatcher() -> None:
-            try:
-                for it, planned in s.work_source.iterate(iterations):
-                    for idx in range(n):
-                        targets = planned.assignments[idx]
-                        if targets is not None:
-                            report.trained_targets.append(targets)
-                        bufs["sample"][idx].put(
-                            (it, targets), timeout=self.timeout_s)
-                for b in bufs["sample"]:
-                    b.close()
-            except BaseException as exc:
-                fail(exc)
-
-        def sample_worker(idx: int) -> None:
-            try:
-                while True:
-                    item = bufs["sample"][idx].get(
-                        timeout=self.timeout_s)
-                    if item is None:
-                        bufs["gather"][idx].close()
-                        return
-                    it, targets = item
-                    if targets is None:
-                        out = (it, 0, None, None, 0.0)
-                    else:
-                        t0 = time.perf_counter()
-                        mb = s.sample_stage(targets)
-                        dt = time.perf_counter() - t0
-                        out = (it, int(targets.size), mb, mb.stats(),
-                               dt)
-                    bufs["gather"][idx].put(out,
-                                            timeout=self.timeout_s)
-            except BaseException as exc:
-                fail(exc)
-
-        def gather_worker(idx: int) -> None:
-            try:
-                while True:
-                    item = bufs["gather"][idx].get(
-                        timeout=self.timeout_s)
-                    if item is None:
-                        bufs["transfer"][idx].close()
-                        return
-                    it, size, mb, st, dt_sample = item
-                    t0 = time.perf_counter()
-                    x0 = s.gather_stage(mb) if mb is not None else None
-                    dt_gather = time.perf_counter() - t0
-                    bufs["transfer"][idx].put(
-                        (it, size, mb, st, x0, dt_sample, dt_gather),
-                        timeout=self.timeout_s)
-            except BaseException as exc:
-                fail(exc)
-
-        def transfer_worker(idx: int) -> None:
-            kind = s.trainers[idx].kind
-            try:
-                while True:
-                    item = bufs["transfer"][idx].get(
-                        timeout=self.timeout_s)
-                    if item is None:
-                        bufs["train"][idx].close()
-                        return
-                    it, size, mb, st, x0, dt_sample, dt_gather = item
-                    labels = None
-                    dt_transfer = 0.0
-                    if mb is not None:
-                        t0 = time.perf_counter()
-                        x0 = s.transfer_stage(x0, kind)
-                        dt_transfer = time.perf_counter() - t0
-                        labels = s.labels_for(mb)
-                    bufs["train"][idx].put(
-                        (it, size, mb, st, x0, labels,
-                         (dt_sample, dt_gather, dt_transfer)),
-                        timeout=self.timeout_s)
-            except BaseException as exc:
-                fail(exc)
-
-        def scoped(fn):
-            # Enlist each stage thread into the session-scoped counter
-            # handle so kernel_stats counts only this run's dispatches
-            # even when co-tenant sessions overlap in this process.
-            def run(*args):
-                with scoped_counters(self.counters):
-                    fn(*args)
-            return run
-
-        threads = [threading.Thread(target=scoped(dispatcher),
-                                    daemon=True,
-                                    name="pipeline-dispatcher")]
-        for idx in range(n):
-            for stage, worker in (("sample", sample_worker),
-                                  ("gather", gather_worker),
-                                  ("transfer", transfer_worker)):
-                threads.append(threading.Thread(
-                    target=scoped(worker), args=(idx,), daemon=True,
-                    name=f"pipeline-{stage}{idx}"))
         counters_before = self.counters.snapshot()
         start = time.perf_counter()
-        for t in threads:
-            t.start()
-
-        try:
+        with chain:
+            chain.start()
+            chain.spawn(dispatch, "dispatcher")
             with scoped_counters(self.counters):
                 for it in range(iterations):
-                    depth = self._train_iteration(it, bufs, error,
-                                                  report, rows, depth)
-        finally:
-            # Close every buffer first (unblocks any stage thread stuck
-            # in put/get — they observe the close and drain out), then
-            # join; runs on success and failure alike, so no stage
-            # thread outlives the run.
-            for stage_bufs in bufs.values():
-                for b in stage_bufs:
-                    b.close()
-            for t in threads:
-                t.join(timeout=self.timeout_s)
-
-        # Only reached on the success path (a failure above propagates
-        # its own error): a thread that survived its join is wedged
-        # outside any buffer wait — fail the run rather than return a
-        # report whose stage stats that thread could still be mutating.
-        lingering = [t.name for t in threads if t.is_alive()]
-        if lingering:
-            raise ProtocolError(
-                f"pipeline stage threads failed to join within "
-                f"{self.timeout_s}s: {lingering}")
+                    depth = self._train_iteration(
+                        it, chain, planned_by_it, report, rows, depth)
 
         report.wall_time_s = time.perf_counter() - start
         report.kernel_stats = self.counters.delta(counters_before)
         report.replicas_consistent = \
             s.synchronizer.replicas_consistent()
-        self._aggregate_stage_stats(bufs, report)
-        if s.has_timing:
-            report.calibration = self.estimator.summary()
+        report.stage_stats = chain.stage_stats()
         if s.has_timing and rows:
             timeline = s.make_pipeline().run(rows)
             report.timeline = timeline
@@ -538,7 +395,8 @@ class PipelinedBackend(ExecutionBackend):
         return report
 
     # ------------------------------------------------------------------
-    def _train_iteration(self, it: int, bufs, error, report, rows,
+    def _train_iteration(self, it: int, chain: StageChain,
+                         planned_by_it: dict, report, rows,
                          depth: int) -> int:
         """Consume one iteration's prepared batches, train, synchronize,
         and (timing sessions) adapt the look-ahead. Returns the depth in
@@ -546,48 +404,42 @@ class PipelinedBackend(ExecutionBackend):
         s = self.session
         stats_cpu = None
         stats_accel: list = []
-        sizes: list[int] = []
         losses: list[float] = []
         accs: list[float] = []
         per_trainer: list[tuple[str, dict]] = []
 
         for idx, trainer in enumerate(s.trainers):
-            try:
-                item = bufs["train"][idx].get(timeout=self.timeout_s)
-            except ProtocolError:
-                if error["exc"] is not None:
-                    raise error["exc"] from None
-                raise
+            item = chain.get(idx)
             if item is None:
-                raise error["exc"] if error["exc"] is not None else \
-                    ProtocolError(
-                        f"pipeline for trainer {idx} ended before "
-                        f"iteration {it}")
-            rit, size, mb, st, x0, labels, durs = item
+                raise ProtocolError(
+                    f"pipeline for trainer {idx} ended before "
+                    f"iteration {it}")
+            rit, prepared = item
             if rit != it:
                 raise ProtocolError(
                     f"trainer {idx} received iteration {rit}, "
                     f"expected {it} (stage reordering)")
+            st = prepared.mb.stats() if prepared is not None else None
             if trainer.kind == "cpu":
                 stats_cpu = st
             elif trainer.kind == "accel":
                 stats_accel.append(st)
-            sizes.append(size)
-            if mb is None:
+            if prepared is None:
                 trainer.model.zero_grad()
                 per_trainer.append((trainer.kind, {}))
                 continue
             t0 = time.perf_counter()
-            rep = trainer.train_minibatch(mb, x0, labels, s.degrees)
+            rep = trainer.train_minibatch(prepared.mb, prepared.x0,
+                                          prepared.labels, s.degrees)
             per_trainer.append((trainer.kind,
-                                {"sample": durs[0], "load": durs[1],
-                                 "transfer": durs[2],
+                                {**prepared.timings.stage_seconds(),
                                  "train": time.perf_counter() - t0}))
             report.total_edges += st.total_edges
             losses.append(rep.loss)
             accs.append(rep.accuracy)
             report.protocol_log.record(it, Signal.DONE, trainer.name)
 
+        sizes = list(planned_by_it.pop(it).batch_sizes)
         if not any(sz > 0 for sz in sizes):
             raise ProtocolError(
                 f"iteration {it} dispatched no work to any trainer")
@@ -601,30 +453,14 @@ class PipelinedBackend(ExecutionBackend):
 
         realized = fold_worker_realized(per_trainer, sync_s)
         self.monitor.observe_times(realized)
-        if s.has_timing:
-            times, row, split = s.timing_step(
-                stats_cpu, stats_accel, it,
-                estimator=self.estimator, realized=realized,
-                calibrate=self.depth_source == "realized",
-                overlapped=self.overlaps_transfer)
-            rows.append(row)
-            report.stage_history.append(times)
-            report.split_history.append(split)
-            if s.sys_cfg.prefetch:
-                want = adaptive_depth(times, cap=self._depth_cap())
-                if want != depth:
-                    for stage_bufs in bufs.values():
-                        for b in stage_bufs:
-                            b.resize(want)
-                    report.depth_history.append((it + 1, want))
-                    depth = want
-        return depth
-
-    def _aggregate_stage_stats(self, bufs, report) -> None:
-        """Fold per-buffer accounting into the per-stage overlap report."""
-        for stage, stage_bufs in bufs.items():
-            report.stage_stats[stage] = fold_stage_stats(
-                stage, [(b.total_puts, b.high_water, b.mean_occupancy)
-                        for b in stage_bufs])
-        report.prefetch_high_water = max(
-            st.high_water for st in report.stage_stats.values())
+        if not s.has_timing:
+            return depth
+        times, row, split = s.timing_step(
+            stats_cpu, stats_accel, it,
+            estimator=self._timing_estimator(), realized=realized,
+            calibrate=self._timing_calibrate(),
+            overlapped=self.overlaps_transfer)
+        rows.append(row)
+        report.stage_history.append(times)
+        report.split_history.append(split)
+        return self._adapt_depth(it, times, depth, report, chain.resize)

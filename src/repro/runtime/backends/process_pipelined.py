@@ -22,9 +22,11 @@ the PaGraph/DistDGL-style per-trainer pipeline recipe:
   workers' realized batch statistics) and still runs the per-iteration
   all-reduce barrier — only *dealing* runs ahead;
 * each **worker** overlaps its local ``sample → gather → quantized
-  transfer`` chain with its ``train + sync`` stage:
-  :class:`~repro.runtime.prefetch.PrefetchBuffer`-backed stage threads
-  over the shared-memory store (CSR topology, features, labels mapped
+  transfer`` chain with its ``train + sync`` stage: a one-lane
+  :class:`~repro.runtime.stage_chain.StageChain` — the same chain the
+  pipelined plane runs — over a
+  :class:`~repro.runtime.stage_pipeline.StagePipeline` built on the
+  shared-memory store (CSR topology, features, labels mapped
   zero-copy; the :class:`~repro.runtime.shm.SharedPrefetchSpec` in the
   manifest sizes the buffers), with the same independent
   ``SeedSequence``-derived sampler stream per worker as the
@@ -65,17 +67,15 @@ import numpy as np
 
 from ...errors import ProtocolError, WorkerError
 from ..prefetch import PrefetchBuffer
-from ..resctl import DEFAULT_ALLOCATOR, NodeAllocator, OnlineEstimator
-from .pipelined import (
-    PRODUCER_STAGES,
+from ..resctl import NodeAllocator
+from ..stage_chain import (
+    CHAIN_STAGES,
+    StageChain,
     StageStats,
-    adaptive_depth,
     fold_stage_stats,
-    resolve_depth_source,
-    resolve_depths,
-    seed_depth,
-    summarize_overlap,
 )
+from ..stage_pipeline import StagePipeline
+from .pipelined import LookaheadControl, summarize_overlap
 from .process_pool import _WorkerSpec, _run_worker
 from .options import ProcessOverlapOptions
 from .process_sampling import (
@@ -83,12 +83,6 @@ from .process_sampling import (
     ProcessSamplingReport,
     _setup_worker_sampling,
 )
-
-#: Worker-local buffer names, keyed by the stage each buffer feeds
-#: (mirrors the pipelined plane's layout: ``sample`` holds dealt
-#: shards awaiting the sample thread, ``train`` holds prepared
-#: batches awaiting the train+sync consumer).
-WORKER_STAGES = (*PRODUCER_STAGES, "train")
 
 
 # ---------------------------------------------------------------------------
@@ -165,150 +159,68 @@ class LookaheadDealer:
 
 
 # ---------------------------------------------------------------------------
-# Worker process: receive-routing + stage threads
+# Worker process: receive-routing + a one-lane stage chain
 # ---------------------------------------------------------------------------
 
-def _serve_overlapped(conn, replica, spec: _WorkerSpec,
-                      handle_train) -> None:
+def _serve_overlapped(conn, replica, spec: _WorkerSpec) -> None:
     """The fused worker's message loop: route + overlap.
 
     The main thread is the **receive router**: it drains the pipe and
-    routes ``train`` shards into the sample buffer and ``apply``
-    updates into the apply queue — it never blocks on pipeline work, so
-    the parent's dealt-ahead messages and the averaged-gradient
-    broadcasts always keep flowing. Four daemon threads realize the
-    overlap:
-
-    * **sample** — this worker's private, independently-seeded sampler
-      over the shared CSR (no lock: one stream, one thread);
-    * **gather** — host-DDR feature row gather against the shm mapping;
-    * **transfer** — the PCIe quantization policy + label gather;
-    * **train+sync** — consumes prepared batches in iteration order,
-      trains, sends the result, then *waits for that iteration's
-      averaged update* before stepping — gradient math stays
-      synchronous SGD while the producer threads run ahead.
-
-    ``handle_train`` is unused (the stage threads replace the one-shot
-    handler); the parameter keeps the shared ``_run_worker``
-    scaffolding signature.
+    routes ``train`` shards into a one-lane
+    :class:`~repro.runtime.stage_chain.StageChain` over the worker's
+    :class:`~repro.runtime.stage_pipeline.StagePipeline` (private,
+    independently-seeded sampler; shared-memory features and labels),
+    and ``apply`` updates into the apply queue — it never blocks on
+    pipeline work, so the parent's dealt-ahead messages and the
+    averaged-gradient broadcasts always keep flowing. The chain's
+    sample → gather → transfer threads run ahead of the **train+sync**
+    consumer, which takes prepared batches in iteration order, trains,
+    sends the result, then *waits for that iteration's averaged
+    update* before stepping — gradient math stays synchronous SGD while
+    the producer stages run ahead.
     """
-    from ..core import apply_transfer_policy, gather_feature_rows
+    from ...kernels import COUNTERS
 
     pf = replica.prefetch
     timeout = pf.timeout_s
-    bufs = {stage: PrefetchBuffer(pf.capacity)
-            for stage in WORKER_STAGES}
+    chain = StageChain(replica.pipeline, [spec.kind], pf.capacity,
+                       timeout)
     # Applies match dealt items 1:1 (idle iterations are dealt as
     # pass-through shards), but the just-retired iteration's apply
     # can arrive while the window behind it is still fully dealt —
     # hence window capacity + 1 headroom.
     q_apply = PrefetchBuffer(pf.capacity + 1)
     send_lock = threading.Lock()
-    error: dict = {"exc": None}
 
     def safe_send(msg) -> None:
         with send_lock:
             conn.send(msg)
 
-    def fail(exc: BaseException) -> None:
-        if error["exc"] is None:
-            error["exc"] = exc
-            try:
-                safe_send(("error", traceback.format_exc()))
-            except Exception:
-                pass
-        for b in (*bufs.values(), q_apply):
-            b.close()
-
-    def sample_worker() -> None:
-        try:
-            while True:
-                item = bufs["sample"].get(timeout=timeout)
-                if item is None:
-                    bufs["gather"].close()
-                    return
-                it, targets = item
-                if targets is None:
-                    out = (it, None, None, None, 0.0)
-                else:
-                    t0 = time.perf_counter()
-                    mb = replica.sampler.sample(targets)
-                    dt = time.perf_counter() - t0
-                    replica.note_stage("sample", dt)
-                    out = (it, mb, mb.stats(), np.asarray(mb.targets),
-                           dt)
-                bufs["gather"].put(out, timeout=timeout)
-        except BaseException as exc:
-            fail(exc)
-
-    def gather_worker() -> None:
-        try:
-            while True:
-                item = bufs["gather"].get(timeout=timeout)
-                if item is None:
-                    bufs["transfer"].close()
-                    return
-                it, mb, st, echoed, dt_sample = item
-                dt = 0.0
-                x0 = None
-                if mb is not None:
-                    t0 = time.perf_counter()
-                    x0 = gather_feature_rows(replica.features, mb)
-                    dt = time.perf_counter() - t0
-                    replica.note_stage("load", dt)
-                bufs["transfer"].put(
-                    (it, mb, st, echoed, x0, dt_sample, dt),
-                    timeout=timeout)
-        except BaseException as exc:
-            fail(exc)
-
-    def transfer_worker() -> None:
-        try:
-            while True:
-                item = bufs["transfer"].get(timeout=timeout)
-                if item is None:
-                    bufs["train"].close()
-                    return
-                it, mb, st, echoed, x0, dt_sample, dt_load = item
-                labels = None
-                dt = 0.0
-                if mb is not None:
-                    t0 = time.perf_counter()
-                    x0 = apply_transfer_policy(
-                        x0, spec.kind, spec.transfer_precision)
-                    labels = replica.labels[mb.targets]
-                    dt = time.perf_counter() - t0
-                    replica.note_stage("transfer", dt)
-                bufs["train"].put(
-                    (it, mb, st, echoed, x0, labels,
-                     (dt_sample, dt_load, dt)),
-                    timeout=timeout)
-        except BaseException as exc:
-            fail(exc)
-
     def train_consumer() -> None:
         try:
             while True:
-                item = bufs["train"].get(timeout=timeout)
+                item = chain.get(0)
                 if item is None:
                     return
-                it, mb, st, echoed, x0, labels, durs = item
-                if mb is not None:
+                it, prepared = item
+                if prepared is not None:
+                    mb = prepared.mb
                     t0 = time.perf_counter()
                     rep = replica.node.train_minibatch(
-                        mb, x0, labels, replica.degrees)
-                    dt_train = time.perf_counter() - t0
-                    replica.note_stage("train", dt_train)
+                        mb, prepared.x0, prepared.labels,
+                        replica.degrees)
+                    stage_s = {**prepared.timings.stage_seconds(),
+                               "train": time.perf_counter() - t0}
+                    for stage, seconds in stage_s.items():
+                        replica.note_stage(stage, seconds)
                     safe_send(("result", it, rep.loss, rep.accuracy,
-                               st, echoed,
+                               mb.stats(), np.asarray(mb.targets),
                                replica.model.get_flat_grads(),
-                               {"sample": durs[0], "load": durs[1],
-                                "transfer": durs[2],
-                                "train": dt_train}))
+                               stage_s))
                 # The per-iteration barrier: wait for this iteration's
                 # averaged gradients (idle iterations included), then
                 # mirror the parent's SGD step — replicas stay
-                # bit-equal while the producer threads run ahead.
+                # bit-equal while the producer stages run ahead.
                 a = q_apply.get(timeout=timeout)
                 if a is None:
                     return
@@ -319,90 +231,80 @@ def _serve_overlapped(conn, replica, spec: _WorkerSpec,
                         f"iteration {ait}, expected {it}")
                 replica.model.set_flat_grads(avg)
                 replica.opt.step()
-        except BaseException as exc:
-            fail(exc)
-
-    threads = [
-        threading.Thread(target=sample_worker, daemon=True,
-                         name=f"wpipe-sample{spec.index}"),
-        threading.Thread(target=gather_worker, daemon=True,
-                         name=f"wpipe-gather{spec.index}"),
-        threading.Thread(target=transfer_worker, daemon=True,
-                         name=f"wpipe-transfer{spec.index}"),
-        threading.Thread(target=train_consumer, daemon=True,
-                         name=f"wpipe-train{spec.index}"),
-    ]
-
-    def drain() -> None:
-        """Join the pipeline (the parent's ``end`` already closed the
-        stream) so post-stream replies never race a stage thread."""
-        for t in threads:
-            t.join(timeout=timeout)
+        except BaseException:
+            # A stage failure reaches here too, re-raised by the chain.
+            try:
+                safe_send(("error", traceback.format_exc()))
+            except Exception:
+                pass
+            q_apply.close()
+            raise
 
     # Delta baseline for ``kstats`` replies: under fork the worker's
     # COUNTERS inherits the parent's pre-spawn totals (see ``_serve``).
-    from ...kernels import COUNTERS
     counters_baseline = COUNTERS.snapshot()
     conn.send(("ready", spec.index))
-    for t in threads:
-        t.start()
-    try:
-        while True:
-            msg = conn.recv()
-            tag = msg[0]
-            if tag == "train":
-                bufs["sample"].put((msg[1], msg[2]), timeout=timeout)
-            elif tag == "apply":
-                q_apply.put((msg[1], msg[2]), timeout=timeout)
-            elif tag == "init":
-                # Arrives before any shard is dealt; no work is in
-                # flight, so the replica is safe to overwrite.
-                replica.model.set_flat_params(msg[1])
-            elif tag == "end":
-                bufs["sample"].close()
-            elif tag == "stats":
-                drain()
-                safe_send(("stats",
-                           {stage: (b.total_puts, b.high_water,
-                                    b.mean_occupancy)
-                            for stage, b in bufs.items()}))
-            elif tag == "params":
-                drain()
-                safe_send(("params", replica.model.get_flat_params()))
-            elif tag == "kstats":
-                drain()
-                safe_send(("kstats",
-                           COUNTERS.delta(counters_baseline)))
-            elif tag == "wstats":
-                drain()
-                safe_send(("wstats", replica.wstats()))
-            elif tag == "stop":
-                return
-            else:
-                raise ProtocolError(f"unknown message tag {tag!r}")
-    finally:
-        for b in (*bufs.values(), q_apply):
-            b.close()
-        for t in threads:
-            t.join(timeout=timeout)
+    with chain:
+        chain.start()
+        chain.spawn(train_consumer, f"train{spec.index}")
+        try:
+            while True:
+                msg = conn.recv()
+                tag = msg[0]
+                if tag == "train":
+                    chain.put(0, msg[1], msg[2])
+                elif tag == "apply":
+                    q_apply.put((msg[1], msg[2]), timeout=timeout)
+                elif tag == "init":
+                    # Arrives before any shard is dealt; no work is in
+                    # flight, so the replica is safe to overwrite.
+                    replica.model.set_flat_params(msg[1])
+                elif tag == "end":
+                    chain.close_input()
+                # The post-stream replies first join the chain (the
+                # parent's ``end`` already closed its input), so they
+                # never race a chain thread.
+                elif tag == "stats":
+                    chain.join()
+                    safe_send(("stats", chain.accounting()))
+                elif tag == "params":
+                    chain.join()
+                    safe_send(("params",
+                               replica.model.get_flat_params()))
+                elif tag == "kstats":
+                    chain.join()
+                    safe_send(("kstats",
+                               COUNTERS.delta(counters_baseline)))
+                elif tag == "wstats":
+                    chain.join()
+                    safe_send(("wstats", replica.wstats()))
+                elif tag == "stop":
+                    return
+                else:
+                    raise ProtocolError(f"unknown message tag {tag!r}")
+        finally:
+            q_apply.close()
 
 
 def _setup_overlapped(store, spec: _WorkerSpec):
-    replica, _ = _setup_worker_sampling(store, spec)
+    replica = _setup_worker_sampling(store, spec)
     replica.prefetch = store.manifest.prefetch
     if replica.prefetch is None:
         raise ProtocolError(
             "shared store carries no prefetch spec: the fused plane's "
             "workers need their stage-buffer capacity from the "
             "manifest")
-    return replica, None
+    replica.pipeline = StagePipeline(
+        replica.sampler, replica.features, replica.labels,
+        spec.transfer_precision)
+    return replica
 
 
 def _worker_main(conn, manifest, spec: _WorkerSpec) -> None:
     """One fused trainer replica (module-level: picklable under
     ``spawn``): worker-side sampling plus the overlapped serve loop."""
     _run_worker(conn, manifest, spec, _setup_overlapped,
-                serve=_serve_overlapped)
+                _serve_overlapped)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +349,7 @@ class ProcessPipelinedReport(ProcessSamplingReport):
         return summarize_overlap(self.stage_stats, self.depth_history)
 
 
-class ProcessPipelinedBackend(ProcessSamplingBackend):
+class ProcessPipelinedBackend(LookaheadControl, ProcessSamplingBackend):
     """Worker processes that sample their own mini-batches *and*
     overlap the producer chain with training — the fused plane.
 
@@ -459,29 +361,14 @@ class ProcessPipelinedBackend(ProcessSamplingBackend):
         sessions deal at a fixed depth.
     timeout_s / mp_context:
         As :class:`~repro.runtime.backends.process_pool.ProcessPoolBackend`.
-    initial_depth:
-        Look-ahead the dealer starts with (defaults to the session's
-        ``prefetch_depth`` when two-stage prefetching is on, else 1 —
-        lock-step dealing, matching the serialized ablation presets).
-    max_depth:
-        Hard cap the adaptive policy can never exceed; also sizes each
-        worker's stage buffers (via the manifest's
+    initial_depth / max_depth / depth_source / allocator:
+        The look-ahead knobs (see
+        :class:`~repro.runtime.backends.pipelined.LookaheadControl`);
+        the dealer starts at the first window's depth. ``max_depth``
+        also sizes each worker's stage buffers (via the manifest's
         :class:`~repro.runtime.shm.SharedPrefetchSpec`), so a worker's
         receive loop can always enqueue a dealt shard without blocking
-        the pipe. Defaults to 8 or the initial depth, whichever is
-        larger — default construction is valid for any session; an
-        explicitly-passed cap below the initial depth fails loudly.
-    depth_source:
-        What steers the adaptive look-ahead and the DRM engine on
-        timing sessions: ``"realized"`` (the default) calibrates the
-        analytic stage times against monitored wall clocks through the
-        backend's :class:`~repro.runtime.resctl.OnlineEstimator`;
-        ``"model"`` reproduces the purely-analytic PR7 trajectories
-        bit for bit (the regression-pinned behavior).
-    allocator:
-        The :class:`~repro.runtime.resctl.NodeAllocator` arbitrating
-        look-ahead depth across concurrent sessions (defaults to the
-        process-global :data:`~repro.runtime.resctl.DEFAULT_ALLOCATOR`).
+        the pipe.
     """
 
     name = "process_pipelined"
@@ -502,46 +389,11 @@ class ProcessPipelinedBackend(ProcessSamplingBackend):
                  allocator: NodeAllocator | None = None) -> None:
         super().__init__(session, timeout_s=timeout_s,
                          mp_context=mp_context)
-        self.initial_depth, self.max_depth = resolve_depths(
-            session, initial_depth, max_depth)
-        self.depth_source = resolve_depth_source(depth_source)
-        self.allocator = allocator if allocator is not None \
-            else DEFAULT_ALLOCATOR
-        # Persists across runs on the same backend instance, so a
-        # second run seeds its first window from calibrated estimates
-        # instead of the floor.
-        self.estimator = OnlineEstimator(monitor=None)
-        self._grant = None
+        self._init_lookahead(initial_depth, max_depth, depth_source,
+                             allocator)
 
-    def run(self, iterations: int):
-        """Register this run with the node allocator for the duration
-        of the synchronized loop; the grant is released (budget
-        returned to concurrent sessions) no matter how the run ends."""
-        if iterations < 1:
-            raise ProtocolError("iterations must be >= 1")
-        self._grant = self.allocator.register(
-            name=f"{self.name}:{self.session.dataset.name}",
-            max_depth=self.max_depth)
-        try:
-            return super().run(iterations)
-        finally:
-            self._grant.release()
-            self._grant = None
-
-    def _depth_cap(self) -> int:
-        """Live adaptive-depth cap: the configured ``max_depth``
-        clamped by this run's current allocator share."""
-        cap = self.max_depth
-        if self._grant is not None and not self._grant.released:
-            cap = min(cap, self._grant.depth_cap)
-        return max(1, cap)
-
-    # -- resctl hooks --------------------------------------------------
-    def _timing_estimator(self):
-        return self.estimator if self.session.has_timing else None
-
-    def _timing_calibrate(self) -> bool:
-        return self.depth_source == "realized"
+    def _run_granted(self, iterations: int):
+        return ProcessSamplingBackend.run(self, iterations)
 
     # -- subclass hooks ------------------------------------------------
     def _worker_entry(self):
@@ -576,11 +428,8 @@ class ProcessPipelinedBackend(ProcessSamplingBackend):
         """
         s = self.session
         n = s.num_trainers
-        depth = seed_depth(s, self.initial_depth, self._depth_cap(),
-                           self.depth_source, self.estimator)
-        report.depth_history.append((0, depth))
         dealer = LookaheadDealer(s.work_source.iterate(iterations),
-                                 depth)
+                                 self._seed_depth(report))
 
         def deal(pairs) -> None:
             for it, planned in pairs:
@@ -618,11 +467,8 @@ class ProcessPipelinedBackend(ProcessSamplingBackend):
                     s.trainers[idx].model.zero_grad()
             times = self._sync_tail(it, planned, conns, report, rows,
                                     stats_by_idx, losses, accs)
-            if times is not None and s.sys_cfg.prefetch:
-                want = adaptive_depth(times, cap=self._depth_cap())
-                if want != dealer.depth:
-                    dealer.set_depth(want)
-                    report.depth_history.append((it + 1, want))
+            self._adapt_depth(it, times, dealer.depth, report,
+                              dealer.set_depth)
             deal(dealer.refill())
 
     def _finalize(self, conns, report) -> None:
@@ -639,31 +485,19 @@ class ProcessPipelinedBackend(ProcessSamplingBackend):
         # stage threads have drained by now, so the snapshots are
         # final).
         super()._finalize(conns, report)
-        if self.session.has_timing:
-            report.calibration = self.estimator.summary()
 
     def _collect_stage_stats(self, conns, report) -> None:
-        """Gather every worker's stage-buffer accounting and aggregate
-        it into the per-stage overlap report (items summed, high-water
-        maxed, occupancy averaged across workers)."""
-        per_stage: dict[str, list[tuple]] = \
-            {stage: [] for stage in WORKER_STAGES}
+        """Fold every worker's chain accounting into the per-stage
+        overlap report (an empty pool folds to zeroed records)."""
+        per_stage: dict[str, list] = {stage: [] for stage in CHAIN_STAGES}
         for idx in range(len(conns)):
             self._send(conns, idx, ("stats",))
-            msg = self._recv(conns, idx)
-            tag, payload = msg
+            tag, payload = self._recv(conns, idx)
             if tag != "stats":
                 raise WorkerError(
                     f"worker {idx} answered {tag!r} to a stats "
                     "request")
-            for stage, row in payload.items():
-                per_stage[stage].append(row)
-        # No skip on empty: `fold_stage_stats` folds an empty entry
-        # list to a zeroed StageStats (a zero-worker pool still yields
-        # a well-formed report).
-        for stage, entries in per_stage.items():
-            report.stage_stats[stage] = fold_stage_stats(stage,
-                                                         entries)
-        if report.stage_stats:
-            report.prefetch_high_water = max(
-                st.high_water for st in report.stage_stats.values())
+            for stage, rows in payload.items():
+                per_stage[stage].extend(rows)
+        report.stage_stats = {stage: fold_stage_stats(stage, rows)
+                              for stage, rows in per_stage.items()}

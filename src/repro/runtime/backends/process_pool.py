@@ -44,6 +44,7 @@ DRM + int8 transfer; the shared-memory segment is torn down in a
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import time
 import traceback
@@ -147,12 +148,13 @@ class _WorkerReplica:
                                 spec.dims, spec.model_name)
         self.opt = SGD(self.model, lr=spec.learning_rate)
         self.sampler = None    # set by the worker-sampling plane
+        self.pipeline = None   # set by the fused plane
         # Lock-step workers train each batch to completion before
         # gathering the next, so the x0 buffer can be pooled: after
         # the first few iterations the gather/quantize hot path
-        # allocates nothing. The fused overlapped plane keeps batches
-        # in flight on stage threads and must NOT use this pool — its
-        # serve loop bypasses `train` (see docs/kernels.md).
+        # allocates nothing. The fused plane's stage chain keeps
+        # batches in flight and never passes a pool (see
+        # docs/kernels.md).
         self.pool = BufferPool()
         # Realized stage accounting: cumulative (count, total seconds)
         # per raw stage name for the ``wstats`` pipe reply, plus the
@@ -194,9 +196,10 @@ class _WorkerReplica:
     def release_views(self) -> None:
         """Drop shm-backed views before unmapping, else ``close()``
         raises BufferError on the exported buffers. Clears the
-        worker-side sampler too (its CSR graph views the segment)."""
+        worker-side sampler and stage pipeline too (both view the
+        segment)."""
         self.features = self.labels = None
-        self.sampler = None
+        self.sampler = self.pipeline = None
 
 
 def _serve(conn, replica: _WorkerReplica, spec: _WorkerSpec,
@@ -241,26 +244,25 @@ def _serve(conn, replica: _WorkerReplica, spec: _WorkerSpec,
 
 
 def _run_worker(conn, manifest, spec: _WorkerSpec, setup,
-                serve=None) -> None:
-    """Worker-process scaffolding: attach the store, delegate to
-    ``setup(store, spec) -> (replica, handle_train)``, serve, and tear
-    down (close-never-unlink) no matter how the loop ends.
+                serve) -> None:
+    """Worker-process scaffolding: attach the store, build the replica
+    with ``setup(store, spec)``, run the message loop
+    ``serve(conn, replica, spec)``, and tear down (close-never-unlink)
+    no matter how the loop ends.
 
-    ``serve`` is the message loop (default :func:`_serve`, the shared
-    lock-step request/response loop); the fused process × pipeline
-    plane swaps in its overlapped loop — receive-routing plus stage
-    threads — while inheriting the attach/teardown scaffolding here.
+    The lock-step planes serve with :func:`_serve` bound to their
+    ``handle_train``; the fused process × pipeline plane swaps in its
+    overlapped loop — receive-routing plus a stage chain — while
+    inheriting the attach/teardown scaffolding here.
     """
     store = None
     replica = None
-    if serve is None:
-        serve = _serve
     try:
         from ..shm import SharedFeatureStore
 
         store = SharedFeatureStore.attach(manifest)
-        replica, handle_train = setup(store, spec)
-        serve(conn, replica, spec, handle_train)
+        replica = setup(store, spec)
+        serve(conn, replica, spec)
     except EOFError:
         pass                              # parent went away: just exit
     except BaseException:
@@ -288,14 +290,11 @@ def _train_wire_batch(replica: _WorkerReplica, spec: _WorkerSpec, msg):
             replica.model.get_flat_grads())
 
 
-def _setup_parent_sampling(store, spec: _WorkerSpec):
-    return _WorkerReplica(store, spec), _train_wire_batch
-
-
 def _worker_main(conn, manifest, spec: _WorkerSpec) -> None:
     """One trainer replica: map the store, train on request, mirror the
     synchronized update. Runs until ``("stop",)`` or pipe EOF."""
-    _run_worker(conn, manifest, spec, _setup_parent_sampling)
+    _run_worker(conn, manifest, spec, _WorkerReplica,
+                functools.partial(_serve, handle_train=_train_wire_batch))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ follow is documented in ``docs/backends.md``.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -66,6 +67,7 @@ from .process_pool import (
     _WorkerReplica,
     _WorkerSpec,
     _run_worker,
+    _serve,
 )
 
 
@@ -119,13 +121,15 @@ def _setup_worker_sampling(store, spec: _WorkerSpec):
     replica = _WorkerReplica(store, spec)
     # Private, independently-seeded sampler over the shared topology.
     replica.sampler = build_worker_sampler(store, spec.index)
-    return replica, _train_sharded_targets
+    return replica
 
 
 def _worker_main(conn, manifest, spec: _WorkerSpec) -> None:
     """One sampling trainer replica (module-level: picklable under
     ``spawn``)."""
-    _run_worker(conn, manifest, spec, _setup_worker_sampling)
+    _run_worker(conn, manifest, spec, _setup_worker_sampling,
+                functools.partial(_serve,
+                                  handle_train=_train_sharded_targets))
 
 
 class ProcessSamplingBackend(ProcessPoolBackend):

@@ -51,6 +51,7 @@ records land in :attr:`ShardedReport.shard_io`.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -64,7 +65,7 @@ from ...graph.shard_map import ShardMap
 from ..core import PlannedIteration
 from ..stage_pipeline import apply_transfer_policy
 from .options import ShardedOptions
-from .process_pool import _run_worker, _WorkerReplica, _WorkerSpec
+from .process_pool import _run_worker, _serve, _WorkerReplica, _WorkerSpec
 from .process_sampling import (
     ProcessSamplingBackend,
     ProcessSamplingReport,
@@ -332,12 +333,14 @@ def _setup_sharded(store, spec: _WorkerSpec):
     from ...sampling import build_worker_sampler
     replica = _ShardedReplica(store, spec)
     replica.sampler = build_worker_sampler(store, spec.index)
-    return replica, _train_shard_targets
+    return replica
 
 
 def _worker_main(conn, manifest, spec: _WorkerSpec) -> None:
     """One shard replica (module-level: picklable under ``spawn``)."""
-    _run_worker(conn, manifest, spec, _setup_sharded)
+    _run_worker(conn, manifest, spec, _setup_sharded,
+                functools.partial(_serve,
+                                  handle_train=_train_shard_targets))
 
 
 # ---------------------------------------------------------------------------

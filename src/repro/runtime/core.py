@@ -305,14 +305,13 @@ class TrainingSession:
         self.plan = BatchPlan(dataset.train_ids,
                               self.split_target_counts, self.rng)
         # The shared per-item producer chain (sample → gather →
-        # transfer) both session kinds compose; the stage hooks below
-        # delegate to it, and the serving plane builds its own over the
-        # same stack.
+        # transfer) both session kinds compose: ``load_features``
+        # delegates to it, the stage chain of the overlapped planes runs
+        # its stage methods on threads, and the serving plane builds its
+        # own over the same stack.
         self.pipeline = StagePipeline(
             self.sampler, dataset.features, dataset.labels,
             self.sys_cfg.transfer_precision)
-        # Historical alias for the pipeline's sampler serialization.
-        self._sampler_lock = self.pipeline.sampler_lock
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -402,33 +401,13 @@ class TrainingSession:
         return self.plan
 
     # ------------------------------------------------------------------
-    # Pipeline-stage hooks (shared hot path)
+    # Feature path (shared hot path)
     #
-    # One method per Fig.-5 producer stage, so an overlapped backend can
-    # run sample / load / transfer on separate stage threads while
-    # executing the exact same bits as the sequential planes (which call
-    # the fused ``load_features``). All delegate to the composed
-    # :class:`~repro.runtime.stage_pipeline.StagePipeline` — the
-    # extraction the serving plane shares.
+    # The sequential planes call the fused ``load_features``; the
+    # overlapped planes run the per-stage methods of ``self.pipeline``
+    # on separate threads (:class:`~repro.runtime.stage_chain.StageChain`)
+    # — the exact same bits either way.
     # ------------------------------------------------------------------
-    def sample_stage(self, targets: np.ndarray) -> MiniBatch:
-        """Sample one mini-batch (thread-safe).
-
-        The sampler's RNG stream is shared; the pipeline's lock makes
-        each draw atomic so concurrent stage threads interleave whole
-        batches, never corrupt the stream.
-        """
-        return self.pipeline.sample(targets)
-
-    def gather_stage(self, mb: MiniBatch) -> np.ndarray:
-        """Feature-gather (load) stage: host-DDR row gather, fp32/64."""
-        return self.pipeline.gather(mb)
-
-    def transfer_stage(self, x0: np.ndarray,
-                       trainer_kind: str) -> np.ndarray:
-        """Transfer stage: the PCIe quantization policy for this link."""
-        return self.pipeline.transfer(x0, trainer_kind)
-
     def load_features(self, mb: MiniBatch, trainer_kind: str, *,
                       pool: kernels.BufferPool | None = None
                       ) -> np.ndarray:

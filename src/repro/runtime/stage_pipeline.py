@@ -1,13 +1,11 @@
 """The per-item stage pipeline, extracted from the training session.
 
-Every consumer of the runtime — the six training backends *and* the
+Every consumer of the runtime — the seven training backends *and* the
 online serving plane (:mod:`repro.serving`) — pushes work items through
 the same Fig.-5 producer chain: **sample** a computational graph for
 some target vertices, **gather** their input features from host DDR,
 apply the **transfer** (PCIe quantization) policy for the executing
-device. Historically that chain lived as methods on
-:class:`~repro.runtime.core.TrainingSession`; this module is the
-extraction that lets a non-training session reuse it:
+device:
 
 * :class:`StagePipeline` — the sampler + feature-store + transfer
   policy bundle with one method per stage (``sample`` / ``gather`` /
@@ -21,16 +19,18 @@ extraction that lets a non-training session reuse it:
   overlapped backend's dispatcher: a stream of
   ``(index, work item)`` pairs.
 
-:class:`~repro.runtime.core.TrainingSession` composes a
-:class:`StagePipeline` and keeps its historical stage hooks
-(``sample_stage`` …) as thin delegations, so the six backends execute
-bit-identical paths; :class:`~repro.serving.ServingSession` composes
-the same class over the same sampler/kernel/feature-store stack.
+:class:`~repro.runtime.core.TrainingSession` composes one
+(``session.pipeline``) and :class:`~repro.serving.ServingSession`
+composes another over the same sampler/kernel/feature-store stack. The
+overlapped planes run its stage methods on threads through
+:class:`~repro.runtime.stage_chain.StageChain`: the ``pipelined``
+backend over ``session.pipeline``, each ``process_pipelined`` worker
+over a pipeline it builds on its shared-memory views and private
+sampler.
 
-The three module-level stage functions (pure; also called directly by
-the process-plane shm workers against their own feature mappings) moved
-here with the extraction — :mod:`repro.runtime.core` re-exports them
-unchanged.
+The three module-level stage functions are pure; the lock-step process
+workers call them directly against their own feature mappings, and
+:mod:`repro.runtime.core` re-exports them unchanged.
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ def gather_feature_rows(features: np.ndarray, mb: MiniBatch, *,
     tier allocation-free — **opt-in**: a pooled result is only valid
     until the next gather from the same pool, so only provably
     sequential call sites (the virtual backend's epoch loop, the
-    process-plane workers) pass one; the overlapped planes keep several
-    batches in flight and must not (see ``docs/kernels.md``). Without
-    them the call is pure — safe to run concurrently from pipeline
-    stage threads.
+    lock-step process workers) pass one; the stage chain keeps several
+    batches in flight and never does (see ``docs/kernels.md``). Without
+    them the call is pure — safe to run concurrently from stage
+    threads.
     """
     return kernels.gather_rows(features, mb.input_nodes, out=out,
                                pool=pool)
@@ -92,8 +92,8 @@ def gather_batch_features(features: np.ndarray, mb: MiniBatch,
     ``(features, batch, kind, precision)`` so every execution
     substrate — the in-process backends via
     :meth:`TrainingSession.load_features`, process-pool workers against
-    their shared-memory mapping, the pipelined backend's separate
-    gather/transfer stage threads — runs the identical bits.
+    their shared-memory mapping, the stage chain's separate
+    gather/transfer threads — runs the identical bits.
     Accelerator-bound quantized batches take the registry's **fused**
     gather+quantize kernel (one pass over the rows, no float64
     intermediate between the stages on the fast tier); everything else
@@ -145,6 +145,12 @@ class StageTimings:
     def total_s(self) -> float:
         return self.sample_s + self.gather_s + self.transfer_s
 
+    def stage_seconds(self) -> dict[str, float]:
+        """The realized stage map keys a live plane reports
+        (``sample`` / ``load`` / ``transfer``)."""
+        return {"sample": self.sample_s, "load": self.gather_s,
+                "transfer": self.transfer_s}
+
 
 @dataclass(frozen=True)
 class PreparedBatch:
@@ -169,9 +175,9 @@ class StagePipeline:
         serialized through :attr:`sampler_lock`).
     features / labels:
         The feature matrix and (optionally) label vector the gather and
-        label stages read. Process-plane workers construct a pipeline
-        over their shared-memory views; ``labels=None`` supports
-        label-free (inference) stores.
+        label stages read. Fused process-plane workers construct a
+        pipeline over their shared-memory views; ``labels=None``
+        supports label-free (inference) stores.
     transfer_precision:
         The PCIe quantization policy (``"fp32"``/``"fp16"``/``"int8"``).
     """

@@ -18,11 +18,15 @@ import time
 
 import pytest
 
+from repro.runtime.stage_chain import CHAIN_THREAD_PREFIX
+
 #: The SharedFeatureStore segment name prefix (runtime/shm.py).
 _SHM_PATTERN = "/dev/shm/repro_shm_*"
 
-#: Thread-name prefixes owned by the live backends' stage threads.
-_BACKEND_THREAD_PREFIXES = ("pipeline-", "producer", "trainer")
+#: Thread-name prefixes owned by the live backends' stage threads (the
+#: stage chain's prefix is imported, so a rename cannot silently turn
+#: this check into a no-op).
+_BACKEND_THREAD_PREFIXES = (CHAIN_THREAD_PREFIX, "producer", "trainer")
 
 
 def _segments() -> set[str]:

@@ -16,6 +16,7 @@ samplers).
 import glob
 import os
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from repro.runtime import (
     get_backend,
     register_backend,
 )
+from repro.runtime.stage_chain import CHAIN_THREAD_PREFIX
 
 _CASE_IDS = [c.id for c in CONFORMANCE_CASES]
 
@@ -415,11 +417,24 @@ class TestPipelinedBackend:
             SystemConfig(hybrid=True, drm=False, prefetch=True),
             num_trainers=2)
         backend = PipelinedBackend(session, timeout_s=10)
+        started: list[str] = []
+        original_start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            original_start(thread)
+
         session.sampler.sample = None     # sabotage the sample stage
-        with pytest.raises(TypeError):
-            backend.run(2)
+        with mock.patch.object(threading.Thread, "start",
+                               recording_start):
+            with pytest.raises(TypeError):
+                backend.run(2)
+        # The run really started chain threads under the prefix (so the
+        # check below cannot pass vacuously), and none outlived it.
+        assert any(name.startswith(CHAIN_THREAD_PREFIX)
+                   for name in started)
         lingering = [t.name for t in threading.enumerate()
-                     if t.name.startswith("pipeline-")]
+                     if t.name.startswith(CHAIN_THREAD_PREFIX)]
         assert lingering == []
 
     def test_resumed_session_continues_from_trained_weights(self,

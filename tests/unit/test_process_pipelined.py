@@ -20,11 +20,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.runtime import LookaheadDealer
-from repro.runtime.backends.process_pipelined import (
-    ProcessPipelinedReport,
-    WORKER_STAGES,
-)
-from repro.runtime.backends.pipelined import StageStats
+from repro.runtime.backends.process_pipelined import ProcessPipelinedReport
+from repro.runtime.stage_chain import CHAIN_STAGES, StageStats
 from repro.runtime.core import BatchPlan
 from repro.runtime.shm import SharedPrefetchSpec
 
@@ -168,13 +165,13 @@ class TestProcessPipelinedReport:
     def test_overlap_summary_aggregates_stages(self):
         rep = ProcessPipelinedReport(iterations=2, num_workers=1)
         rep.depth_history = [(0, 2), (1, 4)]
-        for stage in WORKER_STAGES:
+        for stage in CHAIN_STAGES:
             rep.stage_stats[stage] = StageStats(
                 stage=stage, items=4, high_water=2,
                 mean_occupancy=1.0)
         out = rep.overlap_summary()
         assert "depth=2-4" in out
-        for stage in WORKER_STAGES:
+        for stage in CHAIN_STAGES:
             assert stage in out
 
     def test_inherits_worker_coverage_fields(self):

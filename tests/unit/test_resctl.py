@@ -25,7 +25,7 @@ from repro.config import SystemConfig, TrainingConfig
 from repro.errors import ProtocolError
 from repro.perfmodel.model import StageTimes
 from repro.runtime import TrainingSession
-from repro.runtime.backends.pipelined import fold_stage_stats
+from repro.runtime.stage_chain import fold_stage_stats
 from repro.runtime.resctl import (
     DEFAULT_DEPTH_BUDGET,
     NodeAllocator,
