@@ -104,7 +104,6 @@ from .backends import (
 from .backends.threaded import ExecutorReport
 from .backends.virtual import EpochReport
 from .backends.process_pool import ProcessReport
-from .backends.process_sampling import ProcessSamplingReport
 from .backends.pipelined import (
     DEPTH_SOURCES,
     PipelinedReport,
@@ -157,7 +156,6 @@ __all__ = [
     "ShardedBackend",
     "ShardedReport",
     "ProcessReport",
-    "ProcessSamplingReport",
     "PipelinedReport",
     "ProcessPipelinedReport",
     "LookaheadDealer",

@@ -17,28 +17,31 @@ substrate. Seven ship with the library:
   :class:`~repro.runtime.prefetch.PrefetchBuffer` queues feeding the
   train stage, with an adaptive look-ahead driven by the performance
   model — the paper's §IV-B overlap made live.
-* ``"process_sampling"`` — :class:`ProcessSamplingBackend`: worker
-  processes that additionally run the **sample stage locally** over
-  the shared CSR, each with an independent ``SeedSequence``-derived
-  RNG stream; the parent deals only target-id shards of the plan and
-  keeps adjudicating DRM — the last lock-step stage made parallel.
-* ``"process_pipelined"`` — :class:`ProcessPipelinedBackend`: the
-  **fusion** of the two statistical planes. The parent deals plan
-  shards *ahead* through a bounded, adaptively-sized look-ahead
-  window; each worker overlaps its local sample → gather → quantized
-  transfer chain with train+sync on a one-lane
-  :class:`~repro.runtime.stage_chain.StageChain` (the chain the
-  pipelined plane runs with one lane per trainer) over the shared
-  store — process-level parallelism *and* per-worker stage overlap at
-  once (paper §IV composed).
-* ``"sharded"`` — :class:`ShardedBackend`: the multi-node plane. The
-  graph is partitioned (``hash``/``bfs``) one shard per trainer; the
-  feature store is shard-sliced, the parent deals each shard only the
-  targets it owns, and every worker resolves feature rows as local
-  gather vs. **remote** gather (optionally through a degree-aware
-  :class:`~repro.runtime.remote_cache.RemoteFeatureCache`) with
-  per-minibatch byte accounting — DistDGL's distributed layout with
-  the interconnect accounted rather than physical.
+* three fixed points of **one worker-sampling process plane**
+  (:mod:`.process_pipelined`): worker processes run the sample stage
+  locally over the shared CSR, each with an independent
+  ``SeedSequence``-derived RNG stream, and overlap their
+  sample → gather → transfer chain with train+sync on a one-lane
+  :class:`~repro.runtime.stage_chain.StageChain`; the parent deals
+  target-id shards through a look-ahead window, runs the all-reduce
+  and keeps adjudicating DRM:
+
+  * ``"process_pipelined"`` — :class:`ProcessPipelinedBackend`: the
+    plane with its bounded, adaptively-sized look-ahead window —
+    process-level parallelism *and* per-worker stage overlap at once
+    (paper §IV composed);
+  * ``"process_sampling"`` — :class:`ProcessSamplingBackend`: the
+    window pinned at one iteration (lock-step dealing) — the last
+    lock-step stage made parallel;
+  * ``"sharded"`` — :class:`ShardedBackend`: ``process_sampling``
+    over a graph partitioned (``hash``/``bfs``) one shard per trainer.
+    The feature store is shard-sliced, the parent deals each shard
+    only the targets it owns, and every worker's pipeline resolves
+    feature rows as local gather vs. **remote** gather (optionally
+    through a degree-aware
+    :class:`~repro.runtime.remote_cache.RemoteFeatureCache`) with
+    per-minibatch byte accounting — DistDGL's distributed layout with
+    the interconnect accounted rather than physical.
 
 All consume the same :class:`~repro.runtime.core.BatchPlan` and session,
 so every feature flag — hybrid CPU+accelerator split, DRM, two-stage
@@ -77,10 +80,6 @@ from .options import (
 from .virtual import EpochReport, VirtualTimeBackend
 from .threaded import ExecutorReport, ThreadedBackend
 from .process_pool import ProcessPoolBackend, ProcessReport
-from .process_sampling import (
-    ProcessSamplingBackend,
-    ProcessSamplingReport,
-)
 from .pipelined import (
     PipelinedBackend,
     PipelinedReport,
@@ -92,6 +91,7 @@ from .process_pipelined import (
     ProcessPipelinedBackend,
     ProcessPipelinedReport,
 )
+from .process_sampling import ProcessSamplingBackend
 from .sharded import ShardedBackend, ShardedReport, ShardPlan
 
 #: name -> backend class. A :class:`~repro.registry.Registry` (the
@@ -159,7 +159,6 @@ __all__ = [
     "EpochReport",
     "ExecutorReport",
     "ProcessReport",
-    "ProcessSamplingReport",
     "PipelinedReport",
     "ProcessPipelinedReport",
     "ShardedReport",

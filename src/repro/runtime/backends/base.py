@@ -81,9 +81,9 @@ class ExecutionBackend(abc.ABC):
     #: (:meth:`TrainingSession.duration_row`). ``True`` by default:
     #: the virtual reference models the overlapped pipeline whenever
     #: prefetching is configured, and the strict planes must price
-    #: their rows identically to it by contract. A lock-step
-    #: statistical plane whose transfer strictly precedes the pull
-    #: (the worker-sampling plane) overrides this to ``False``.
+    #: their rows identically to it by contract. The worker-sampling
+    #: plane derives it from its look-ahead: a window capped at one
+    #: iteration deals each transfer after the previous pull.
     overlaps_transfer: ClassVar[bool] = True
 
     def __init__(self, session: TrainingSession) -> None:

@@ -185,7 +185,8 @@ class LookaheadControl:
     """The adaptive look-ahead both overlapped backends share.
 
     Owns, once: depth and ``depth_source`` resolution, the estimator,
-    the node-allocator grant taken for the length of :meth:`run`, the
+    the node-allocator grant taken for the length of :meth:`run` (by a
+    window that can grow past one iteration), the
     live depth cap, the first window's seed, and the resize after each
     ``timing_step``. A backend mixes it in ahead of its base class,
     calls :meth:`_init_lookahead` from its constructor and implements
@@ -242,20 +243,24 @@ class LookaheadControl:
 
         Claims a share of the node's look-ahead budget for the run; the
         ``finally`` returns it the moment the run ends (success or
-        failure), so co-tenant sessions' caps rise immediately. The
-        report gets the buffers' overall high-water mark and, on timing
-        sessions, the estimator's calibration digest.
+        failure), so co-tenant sessions' caps rise immediately. A
+        window capped at one iteration has no look-ahead to arbitrate
+        and claims nothing. The report gets the buffers' overall
+        high-water mark and, on timing sessions, the estimator's
+        calibration digest.
         """
         if iterations < 1:
             raise ProtocolError("iterations must be >= 1")
-        self._grant = self.allocator.register(
-            name=f"{self.name}:{self.session.dataset.name}",
-            max_depth=self.max_depth)
+        if self.max_depth > 1:
+            self._grant = self.allocator.register(
+                name=f"{self.name}:{self.session.dataset.name}",
+                max_depth=self.max_depth)
         try:
             report = self._run_granted(iterations)
         finally:
-            self._grant.release()
-            self._grant = None
+            if self._grant is not None:
+                self._grant.release()
+                self._grant = None
         report.prefetch_high_water = max(
             (st.high_water for st in report.stage_stats.values()),
             default=0)

@@ -1,57 +1,59 @@
-"""Fused process × pipeline backend: worker-local overlapped execution.
+"""The worker-sampling process plane: workers sample, gather, transfer
+and train their own batches; the parent deals and synchronizes.
 
-HyScale-GNN's core scalability claim (paper §IV) is that multi-process
-execution and multi-stage prefetch overlap *compose* on a single node:
-every CPU core samples and loads while every trainer trains. The repo's
-two statistical-tier planes each realize one half — the
-worker-sampling plane (:mod:`.process_sampling`) parallelizes the
-sample stage across processes but resolves iterations lock-step; the
-pipelined plane (:mod:`.pipelined`) overlaps the producer chain with
-training but only on threads under the GIL. This backend fuses them,
-the PaGraph/DistDGL-style per-trainer pipeline recipe:
+HyScale-GNN's process-level shape (paper §IV) is one shape: every
+worker runs its own producer chain while the parent keeps the
+all-reduce barrier and the DRM decisions. This module writes it once,
+the DistDGL/PaGraph per-trainer pipeline recipe:
 
-* the **parent** deals target-id shards **ahead** through a bounded
-  per-worker queue: a :class:`LookaheadDealer` keeps up to ``depth``
-  iterations in flight (dealt but not yet synchronized), where
-  ``depth`` is resized live by the same
-  :func:`~repro.runtime.backends.pipelined.adaptive_depth`
-  producer/consumer ratio logic the pipelined plane uses — deep
-  look-ahead only while the sample/gather/transfer chain is the
-  bottleneck. The parent still adjudicates every DRM decision
+* the **parent** deals target-id shards of a work source through a
+  :class:`LookaheadDealer` that keeps up to ``depth`` iterations in
+  flight (dealt but not yet synchronized); ``depth`` is resized live
+  by the same :func:`~repro.runtime.backends.pipelined.adaptive_depth`
+  producer/consumer ratio logic the pipelined plane uses. The parent
+  still adjudicates every DRM decision
   (:meth:`~repro.runtime.core.TrainingSession.timing_step` on the
   workers' realized batch statistics) and still runs the per-iteration
   all-reduce barrier — only *dealing* runs ahead;
-* each **worker** overlaps its local ``sample → gather → quantized
-  transfer`` chain with its ``train + sync`` stage: a one-lane
-  :class:`~repro.runtime.stage_chain.StageChain` — the same chain the
-  pipelined plane runs — over a
-  :class:`~repro.runtime.stage_pipeline.StagePipeline` built on the
-  shared-memory store (CSR topology, features, labels mapped
-  zero-copy; the :class:`~repro.runtime.shm.SharedPrefetchSpec` in the
-  manifest sizes the buffers), with the same independent
-  ``SeedSequence``-derived sampler stream per worker as the
-  worker-sampling plane. While the train stage of iteration ``i``
-  runs (and waits for ``i``'s averaged gradients), the stage threads
-  prepare iterations ``i+1 … i+depth`` — overlap *and* GIL-free
-  process parallelism at once.
+* each **worker** maps the CSR topology, features and labels
+  zero-copy from the :class:`~repro.runtime.shm.SharedFeatureStore`,
+  rebuilds the session's sampler with its **own independent RNG
+  stream** (:func:`repro.sampling.worker_stream_seed`), and overlaps
+  its ``sample → gather → transfer`` chain with its ``train + sync``
+  stage on a one-lane :class:`~repro.runtime.stage_chain.StageChain`
+  — the chain the pipelined plane runs — over a worker
+  :class:`~repro.runtime.stage_pipeline.StagePipeline`. Placement is
+  the choice of pipeline: a shard-sliced store gets the sharded
+  plane's local / remote-cache / remote resolver
+  (:class:`~repro.runtime.backends.sharded.ShardStagePipeline`), any
+  other store the flat row gather.
 
-**DRM lag.** Shards for the in-flight window are sliced from the
-:class:`~repro.runtime.core.BatchPlan` with the workload split current
-*at deal time*, so an Algorithm-1 adjustment takes effect only once the
-window has drained past the shards already dealt — the same
-one-window lag the pipelined plane's dispatcher already accepts (and
-the tiered kit's work-conservation assertion covers: every dealt
-iteration still carries the full target budget). With ``max_depth=1``
-the window degenerates to lock-step dealing and this backend is
-bit-identical to :class:`ProcessSamplingBackend` — pinned by a
-regression test.
+Three registered names are fixed points of this one plane:
 
-Like its parent class, bit-parity with the virtual reference is
-impossible by design (per-worker RNG streams), so this backend declares
-``conformance_tier = "statistical"`` and passes the full tier —
-exact iteration count, exact epoch coverage, the per-worker
-shard-partition assertion (via the inherited ``worker_targets``
-echoes), DRM work conservation, and loss/parameter closeness.
+* ``process_pipelined`` — :class:`ProcessPipelinedBackend` with its
+  look-ahead knobs (``initial_depth`` / ``max_depth`` /
+  ``depth_source`` / ``allocator``) over the session's
+  :class:`~repro.runtime.core.BatchPlan`;
+* ``process_sampling`` — depth pinned at 1 with
+  ``depth_source="model"``: shard ``i + 1`` is dealt only after
+  iteration ``i``'s all-reduce and DRM step, which is lock-step
+  dealing (:mod:`.process_sampling`);
+* ``sharded`` — ``process_sampling`` over a shard-sliced store with
+  the partition-routed :class:`~repro.runtime.backends.sharded.ShardPlan`
+  as its work source (:mod:`.sharded`).
+
+**DRM lag.** Shards for the in-flight window are sliced with the
+workload split current *at deal time*, so an Algorithm-1 adjustment
+takes effect only once the window has drained past the shards already
+dealt — the same one-window lag the pipelined plane's dispatcher
+accepts. At depth 1 the lag is zero.
+
+Per-worker RNG streams make bit-parity with the virtual reference
+impossible by design, so every fixed point declares
+``conformance_tier = "statistical"`` and passes the full tier — exact
+iteration count, exact epoch coverage, the per-worker shard-partition
+assertion (via the ``worker_targets`` echoes), DRM work conservation,
+and loss/parameter closeness.
 """
 
 from __future__ import annotations
@@ -76,13 +78,14 @@ from ..stage_chain import (
 )
 from ..stage_pipeline import StagePipeline
 from .pipelined import LookaheadControl, summarize_overlap
-from .process_pool import _WorkerSpec, _run_worker
-from .options import ProcessOverlapOptions
-from .process_sampling import (
-    ProcessSamplingBackend,
-    ProcessSamplingReport,
-    _setup_worker_sampling,
+from .process_pool import (
+    ProcessPoolBackend,
+    ProcessReport,
+    _WorkerReplica,
+    _WorkerSpec,
+    _run_worker,
 )
+from .options import ProcessOverlapOptions
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +166,7 @@ class LookaheadDealer:
 # ---------------------------------------------------------------------------
 
 def _serve_overlapped(conn, replica, spec: _WorkerSpec) -> None:
-    """The fused worker's message loop: route + overlap.
+    """The worker message loop: route + overlap.
 
     The main thread is the **receive router**: it drains the pipe and
     routes ``train`` shards into a one-lane
@@ -177,7 +180,8 @@ def _serve_overlapped(conn, replica, spec: _WorkerSpec) -> None:
     consumer, which takes prepared batches in iteration order, trains,
     sends the result, then *waits for that iteration's averaged
     update* before stepping — gradient math stays synchronous SGD while
-    the producer stages run ahead.
+    the producer stages run ahead. Each result carries its batch's
+    interconnect record (empty on a flat store).
     """
     from ...kernels import COUNTERS
 
@@ -216,7 +220,7 @@ def _serve_overlapped(conn, replica, spec: _WorkerSpec) -> None:
                     safe_send(("result", it, rep.loss, rep.accuracy,
                                mb.stats(), np.asarray(mb.targets),
                                replica.model.get_flat_grads(),
-                               stage_s))
+                               stage_s, prepared.io))
                 # The per-iteration barrier: wait for this iteration's
                 # averaged gradients (idle iterations included), then
                 # mirror the parent's SGD step — replicas stay
@@ -287,22 +291,34 @@ def _serve_overlapped(conn, replica, spec: _WorkerSpec) -> None:
 
 
 def _setup_overlapped(store, spec: _WorkerSpec):
-    replica = _setup_worker_sampling(store, spec)
+    """Build the replica plus its private sampler and stage pipeline:
+    the sharded resolver on a shard-sliced store, the flat row gather
+    otherwise."""
+    from ...sampling import build_worker_sampler
+
+    replica = _WorkerReplica(store, spec)
     replica.prefetch = store.manifest.prefetch
     if replica.prefetch is None:
         raise ProtocolError(
-            "shared store carries no prefetch spec: the fused plane's "
+            "shared store carries no prefetch spec: worker-sampling "
             "workers need their stage-buffer capacity from the "
             "manifest")
-    replica.pipeline = StagePipeline(
-        replica.sampler, replica.features, replica.labels,
-        spec.transfer_precision)
+    # Private, independently-seeded sampler over the shared topology.
+    sampler = build_worker_sampler(store, spec.index)
+    if store.is_sharded:
+        from .sharded import ShardStagePipeline
+        replica.pipeline = ShardStagePipeline(
+            sampler, store, spec.index, spec.transfer_precision)
+    else:
+        replica.pipeline = StagePipeline(
+            sampler, replica.features, replica.labels,
+            spec.transfer_precision)
     return replica
 
 
 def _worker_main(conn, manifest, spec: _WorkerSpec) -> None:
-    """One fused trainer replica (module-level: picklable under
-    ``spawn``): worker-side sampling plus the overlapped serve loop."""
+    """One worker-sampling trainer replica (module-level: picklable
+    under ``spawn``)."""
     _run_worker(conn, manifest, spec, _setup_overlapped,
                 _serve_overlapped)
 
@@ -312,9 +328,18 @@ def _worker_main(conn, manifest, spec: _WorkerSpec) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ProcessPipelinedReport(ProcessSamplingReport):
-    """A :class:`ProcessSamplingReport` plus the fused plane's overlap
+class ProcessPipelinedReport(ProcessReport):
+    """A :class:`ProcessReport` plus the coverage evidence worker-side
+    sampling owes the statistical tier and the plane's overlap
     observability.
+
+    ``trained_targets`` is the per-deal list of target-id slices in
+    deal order (what the tier's epoch-coverage assertion consumes, same
+    field the pipelined report exposes). ``worker_targets[k]`` is
+    worker ``k``'s list of **echoed** target ids — the ``V^L`` of the
+    batches it actually sampled and trained, reported back over the
+    pipe, *not* a copy of the parent's dealing bookkeeping — so the
+    kit's partition assertion genuinely audits worker behavior.
 
     ``stage_stats`` aggregates every worker's stage-buffer accounting
     (items through, high-water, mean occupancy — same shape as the
@@ -332,6 +357,8 @@ class ProcessPipelinedReport(ProcessSamplingReport):
     regression test keys off this).
     """
 
+    trained_targets: list[np.ndarray] = field(default_factory=list)
+    worker_targets: list[list[np.ndarray]] = field(default_factory=list)
     stage_stats: dict[str, StageStats] = field(default_factory=dict)
     depth_history: list[tuple[int, int]] = field(default_factory=list)
     lookahead_history: list[tuple[int, int]] = \
@@ -349,9 +376,9 @@ class ProcessPipelinedReport(ProcessSamplingReport):
         return summarize_overlap(self.stage_stats, self.depth_history)
 
 
-class ProcessPipelinedBackend(LookaheadControl, ProcessSamplingBackend):
-    """Worker processes that sample their own mini-batches *and*
-    overlap the producer chain with training — the fused plane.
+class ProcessPipelinedBackend(LookaheadControl, ProcessPoolBackend):
+    """Worker processes that sample their own mini-batches and overlap
+    the producer chain with training.
 
     Parameters
     ----------
@@ -375,12 +402,6 @@ class ProcessPipelinedBackend(LookaheadControl, ProcessSamplingBackend):
     options_cls = ProcessOverlapOptions
     conformance_tier = "statistical"
 
-    #: The fused plane keeps dealt batches in flight across the sync
-    #: barrier, so a worker's next transfer genuinely overlaps the
-    #: parent's gradient pull — the duplex derate its lock-step parent
-    #: class switches off applies again here.
-    overlaps_transfer = True
-
     def __init__(self, session, timeout_s: float = 120.0,
                  mp_context: str | None = None,
                  initial_depth: int | None = None,
@@ -392,20 +413,36 @@ class ProcessPipelinedBackend(LookaheadControl, ProcessSamplingBackend):
         self._init_lookahead(initial_depth, max_depth, depth_source,
                              allocator)
 
+    @property
+    def overlaps_transfer(self) -> bool:
+        """Only a window deeper than one keeps a dealt batch in flight
+        across the sync barrier. At depth 1 iteration ``i + 1`` is
+        dealt after iteration ``i``'s all-reduce, so a transfer never
+        shares the PCIe link with a gradient pull and the duplex
+        derate must not be priced."""
+        return self.max_depth > 1
+
     def _run_granted(self, iterations: int):
-        return ProcessSamplingBackend.run(self, iterations)
+        return ProcessPoolBackend.run(self, iterations)
 
     # -- subclass hooks ------------------------------------------------
     def _worker_entry(self):
         return _worker_main
 
-    def _create_store(self):
+    def _work_source(self):
+        """What the dealer drains: the session's plan."""
+        return self.session.work_source
+
+    def _create_store(self, **layout):
+        """The shared store plus the sampler and prefetch specs every
+        worker needs; ``layout`` passes a shard layout through."""
         from ..shm import SharedFeatureStore, SharedPrefetchSpec
         return SharedFeatureStore.create(
             self.session.dataset,
             sampler_spec=self.session.shared_sampler_spec(),
             prefetch_spec=SharedPrefetchSpec(
-                capacity=self.max_depth, timeout_s=self.timeout_s))
+                capacity=self.max_depth, timeout_s=self.timeout_s),
+            **layout)
 
     def _make_report(self, iterations: int,
                      n: int) -> ProcessPipelinedReport:
@@ -422,13 +459,11 @@ class ProcessPipelinedBackend(LookaheadControl, ProcessSamplingBackend):
         per-worker pipes, then retire the oldest in-flight iteration:
         collect its results, run the shared sync tail (all-reduce,
         broadcast, optimizer steps, timing/DRM — unchanged semantics),
-        and let the modelled stage times resize the window. Finally
-        close every worker's stream (``end``) and fold their stage
-        accounting into the overlap report.
+        and let the modelled stage times resize the window.
         """
         s = self.session
         n = s.num_trainers
-        dealer = LookaheadDealer(s.work_source.iterate(iterations),
+        dealer = LookaheadDealer(self._work_source().iterate(iterations),
                                  self._seed_depth(report))
 
         def deal(pairs) -> None:
@@ -456,8 +491,8 @@ class ProcessPipelinedBackend(LookaheadControl, ProcessSamplingBackend):
             accs: list[float] = []
             busy = [idx for idx in range(n)
                     if planned.assignments[idx] is not None]
-            self._collect(it, busy, conns, report, stats_by_idx,
-                          losses, accs)
+            stage_s = self._collect(it, busy, conns, report,
+                                    stats_by_idx, losses, accs)
             for idx in range(n):
                 if planned.assignments[idx] is None:
                     # Idle replica: zero gradients, weight zero in the
@@ -466,17 +501,53 @@ class ProcessPipelinedBackend(LookaheadControl, ProcessSamplingBackend):
                     # an earlier, not-yet-reduced iteration.
                     s.trainers[idx].model.zero_grad()
             times = self._sync_tail(it, planned, conns, report, rows,
-                                    stats_by_idx, losses, accs)
+                                    stats_by_idx, losses, accs, stage_s)
             self._adapt_depth(it, times, dealer.depth, report,
                               dealer.set_depth)
             deal(dealer.refill())
 
+    def _collect(self, it: int, busy, conns, report, stats_by_idx,
+                 losses, accs) -> dict[int, dict]:
+        """Gather one iteration's results into the parent mirrors.
+
+        Records each worker's realized batch statistics (the DRM
+        inputs), its echoed target ids (the coverage evidence — what
+        the worker trained, not what the parent dealt) and, on a
+        shard-sliced store, its interconnect record. Returns the raw
+        stage seconds each result carried, by worker index."""
+        from ..protocol import Signal
+
+        s = self.session
+        stage_by_idx: dict[int, dict] = {}
+        for idx in busy:
+            msg = self._recv(conns, idx)
+            tag, rit, loss, acc, st, echoed, grads, stage_s, io = msg
+            if tag != "result" or rit != it:
+                raise WorkerError(
+                    f"worker {idx} answered {tag!r} for iteration "
+                    f"{rit}, expected result for {it}")
+            s.trainers[idx].model.set_flat_grads(grads)
+            stats_by_idx[idx] = st
+            stage_by_idx[idx] = stage_s
+            report.total_edges += st.total_edges
+            report.worker_targets[idx].append(echoed)
+            if io:
+                # Only a shard-sliced store bills an interconnect, and
+                # only the sharded report carries the records.
+                report.shard_io.append(
+                    {"iteration": it, "worker": idx, **io})
+            losses.append(loss)
+            accs.append(acc)
+            report.protocol_log.record(it, Signal.DONE,
+                                       s.trainers[idx].name)
+        return stage_by_idx
+
     def _finalize(self, conns, report) -> None:
-        """Close every worker's stream and fold their stage accounting
-        into the overlap report. Runs after ``wall_time_s`` is stamped
-        (the :meth:`run` scaffolding), so the drain and the per-worker
-        stats round trips never inflate the measured training time the
-        wall-clock benches compare across backends."""
+        """Close every worker's stream (``end``) and fold their stage
+        accounting into the overlap report. Runs after ``wall_time_s``
+        is stamped (the :meth:`run` scaffolding), so the drain and the
+        per-worker stats round trips never inflate the measured
+        training time the wall-clock benches compare across backends."""
         for idx in range(len(conns)):
             self._send(conns, idx, ("end",))
         self._collect_stage_stats(conns, report)

@@ -40,11 +40,17 @@ vector each way) cross process boundaries; features never do.
 full parity matrix against the virtual reference, including hybrid +
 DRM + int8 transfer; the shared-memory segment is torn down in a
 ``finally`` so no segment survives a run (clean or failed).
+
+The spawn / handshake / parity-audit / teardown scaffolding here, the
+worker replica and :meth:`ProcessPoolBackend._sync_tail` serve one other
+plane: the worker-sampling plane (:mod:`.process_pipelined`), whose
+three named fixed points — ``process_pipelined``, ``process_sampling``
+and ``sharded`` — replace only the dealing loop and the worker's serve
+loop.
 """
 
 from __future__ import annotations
 
-import functools
 import multiprocessing as mp
 import time
 import traceback
@@ -56,7 +62,7 @@ from ...errors import ProtocolError, StageTimeoutError, WorkerError
 from ...perfmodel.model import StageTimes, WorkloadSplit
 from ...sim.trace import Timeline
 from ..protocol import ProtocolLog, Signal
-from ..resctl import map_worker_totals
+from ..resctl import fold_worker_realized, map_worker_totals
 from .base import ExecutionBackend
 from .options import ProcessOptions
 
@@ -147,29 +153,23 @@ class _WorkerReplica:
         self.node = TrainerNode(spec.name, spec.kind, self.model, None,
                                 spec.dims, spec.model_name)
         self.opt = SGD(self.model, lr=spec.learning_rate)
-        self.sampler = None    # set by the worker-sampling plane
-        self.pipeline = None   # set by the fused plane
+        self.pipeline = None   # set by the worker-sampling plane
         # Lock-step workers train each batch to completion before
         # gathering the next, so the x0 buffer can be pooled: after
         # the first few iterations the gather/quantize hot path
-        # allocates nothing. The fused plane's stage chain keeps
-        # batches in flight and never passes a pool (see
+        # allocates nothing. The worker-sampling plane's stage chain
+        # keeps batches in flight and never passes a pool (see
         # docs/kernels.md).
         self.pool = BufferPool()
         # Realized stage accounting: cumulative (count, total seconds)
-        # per raw stage name for the ``wstats`` pipe reply, plus the
-        # most recent per-batch durations (the worker-sampling plane
-        # echoes those with each result so the parent can fold a
-        # per-iteration realized StageTimes).
+        # per raw stage name for the ``wstats`` pipe reply.
         self.stage_totals: dict[str, list] = {}
-        self.last_stage_s: dict[str, float] = {}
 
     def note_stage(self, stage: str, seconds: float) -> None:
-        """Accumulate one realized stage duration (wstats + snapshot)."""
+        """Accumulate one realized stage duration (wstats)."""
         entry = self.stage_totals.setdefault(stage, [0, 0.0])
         entry[0] += 1
         entry[1] += seconds
-        self.last_stage_s[stage] = seconds
 
     def wstats(self) -> dict[str, tuple[int, float]]:
         """The cumulative ``{raw_stage: (count, total_s)}`` payload."""
@@ -196,21 +196,20 @@ class _WorkerReplica:
     def release_views(self) -> None:
         """Drop shm-backed views before unmapping, else ``close()``
         raises BufferError on the exported buffers. Clears the
-        worker-side sampler and stage pipeline too (both view the
+        worker-side stage pipeline too (it and its sampler view the
         segment)."""
         self.features = self.labels = None
-        self.sampler = self.pipeline = None
+        self.pipeline = None
 
 
-def _serve(conn, replica: _WorkerReplica, spec: _WorkerSpec,
-           handle_train) -> None:
-    """The worker message loop both process planes share.
+def _serve(conn, replica: _WorkerReplica, spec: _WorkerSpec) -> None:
+    """The lock-step worker message loop.
 
-    ``handle_train(replica, spec, msg)`` answers one ``"train"``
-    message with the reply tuple; everything else — the ready
-    handshake, the parameter init/audit, the synchronized ``apply`` +
-    local SGD step that keeps the replica bit-equal to the parent
-    mirror — is plane-independent. Runs until ``("stop",)`` or EOF.
+    A ``"train"`` message carries a parent-sampled batch in wire form:
+    rebuild it, train, reply with loss, accuracy and gradients. The
+    rest is the ready handshake, the parameter init/audit, and the
+    synchronized ``apply`` + local SGD step that keeps the replica
+    bit-equal to the parent mirror. Runs until ``("stop",)`` or EOF.
 
     ``kstats`` replies are deltas from a baseline taken here: under
     the fork start method the worker's :data:`~repro.kernels.COUNTERS`
@@ -224,7 +223,11 @@ def _serve(conn, replica: _WorkerReplica, spec: _WorkerSpec,
         msg = conn.recv()
         tag = msg[0]
         if tag == "train":
-            conn.send(handle_train(replica, spec, msg))
+            _, it, node_ids, blocks_raw, feature_dim = msg
+            mb = _rebuild_minibatch(node_ids, blocks_raw, feature_dim)
+            rep = replica.train(spec, mb)
+            conn.send(("result", it, rep.loss, rep.accuracy,
+                       replica.model.get_flat_grads()))
         elif tag == "apply":
             _, _, avg = msg
             replica.model.set_flat_grads(avg)
@@ -250,10 +253,10 @@ def _run_worker(conn, manifest, spec: _WorkerSpec, setup,
     ``serve(conn, replica, spec)``, and tear down (close-never-unlink)
     no matter how the loop ends.
 
-    The lock-step planes serve with :func:`_serve` bound to their
-    ``handle_train``; the fused process × pipeline plane swaps in its
-    overlapped loop — receive-routing plus a stage chain — while
-    inheriting the attach/teardown scaffolding here.
+    The lock-step ``process`` plane serves with :func:`_serve`; the
+    worker-sampling plane swaps in its overlapped loop —
+    receive-routing plus a stage chain — while inheriting the
+    attach/teardown scaffolding here.
     """
     store = None
     replica = None
@@ -281,20 +284,10 @@ def _run_worker(conn, manifest, spec: _WorkerSpec, setup,
         conn.close()
 
 
-def _train_wire_batch(replica: _WorkerReplica, spec: _WorkerSpec, msg):
-    """Handle a parent-sampled batch shipped in wire form."""
-    _, it, node_ids, blocks_raw, feature_dim = msg
-    mb = _rebuild_minibatch(node_ids, blocks_raw, feature_dim)
-    rep = replica.train(spec, mb)
-    return ("result", it, rep.loss, rep.accuracy, rep.batch_targets,
-            replica.model.get_flat_grads())
-
-
 def _worker_main(conn, manifest, spec: _WorkerSpec) -> None:
     """One trainer replica: map the store, train on request, mirror the
     synchronized update. Runs until ``("stop",)`` or pipe EOF."""
-    _run_worker(conn, manifest, spec, _WorkerReplica,
-                functools.partial(_serve, handle_train=_train_wire_batch))
+    _run_worker(conn, manifest, spec, _WorkerReplica, _serve)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +408,9 @@ class ProcessPoolBackend(ExecutionBackend):
         return report
 
     # ------------------------------------------------------------------
-    # Subclass hooks (the worker-sampling backend swaps exactly these
-    # three, inheriting spawn / handshake / shutdown / parity intact).
+    # Subclass hooks (the worker-sampling plane swaps these three plus
+    # :meth:`_drive`, inheriting spawn / handshake / shutdown / parity
+    # intact).
     # ------------------------------------------------------------------
     def _worker_entry(self):
         """Module-level worker entry point (picklable under spawn)."""
@@ -433,9 +427,8 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _drive(self, iterations: int, conns, report, rows) -> None:
         """Drive the synchronized training loop (between handshake and
-        parity audit). The default is the lock-step loop every
-        request/response process plane shares; the fused
-        process × pipeline plane overrides this with its bounded
+        parity audit). The default is the lock-step parent-sampling
+        loop; the worker-sampling plane overrides this with its
         look-ahead dealing loop while inheriting spawn / handshake /
         parity audit / teardown from :meth:`run`."""
         for it, planned in self.session.work_source.iterate(iterations):
@@ -444,8 +437,8 @@ class ProcessPoolBackend(ExecutionBackend):
     def _finalize(self, conns, report) -> None:
         """Post-training hook, run *after* ``wall_time_s`` is stamped
         and before the parity audit — accounting round trips here
-        (the fused plane drains worker pipelines and collects their
-        stage stats) never skew the measured training time that the
+        (the worker-sampling plane drains worker pipelines and collects
+        their stage stats) never skew the measured training time that the
         wall-clock benches compare across backends.
 
         The base hook collects each worker's kernel-traffic counters
@@ -487,8 +480,8 @@ class ProcessPoolBackend(ExecutionBackend):
         """One Fig.-5 iteration: scatter work (:meth:`_dispatch`),
         gather gradients (:meth:`_collect`), then the shared tail
         (:meth:`_sync_tail`) in exactly the virtual-plane order.
-        Subclasses override only the dispatch/collect halves; the sync
-        tail (and therefore the trajectory semantics) exists once."""
+        The sync tail (and therefore the trajectory semantics) exists
+        once, shared with the worker-sampling plane's loop."""
         stats_by_idx: dict[int, object] = {}
         busy = self._dispatch(it, planned, conns, report, stats_by_idx)
 
@@ -500,12 +493,16 @@ class ProcessPoolBackend(ExecutionBackend):
                         losses, accs)
 
     def _sync_tail(self, it: int, planned, conns, report, rows,
-                   stats_by_idx, losses, accs):
+                   stats_by_idx, losses, accs, stage_s=None):
         """The shared iteration tail: all-reduce, broadcast the
         averaged update, optimizer steps, timing/DRM bookkeeping — in
-        exactly the virtual-plane order. Returns the modelled
-        :class:`StageTimes` when the session carries a timing plane
-        (the fused plane feeds them to its adaptive look-ahead), else
+        exactly the virtual-plane order. ``stage_s`` maps worker index
+        to the raw stage seconds its result carried; folded with the
+        measured all-reduce it is the iteration's realized stage map
+        (``None`` on the parent-sampling plane, which learns worker
+        stage times only from the end-of-run ``wstats`` totals).
+        Returns the modelled :class:`StageTimes` when the session
+        carries a timing plane (the look-ahead steers from them), else
         ``None``. This exists once, so the trajectory semantics can
         never drift between process planes."""
         s = self.session
@@ -521,8 +518,11 @@ class ProcessPoolBackend(ExecutionBackend):
 
         report.losses.append(float(np.mean(losses)))
         report.accuracies.append(float(np.mean(accs)))
-        realized = self._realized_stage_times(sync_s)
-        if realized:
+        realized = None
+        if stage_s:
+            realized = fold_worker_realized(
+                [(t.kind, stage_s.get(idx, {}))
+                 for idx, t in enumerate(s.trainers)], sync_s)
             self.monitor.observe_times(realized)
         if not s.has_timing:
             return None
@@ -551,17 +551,9 @@ class ProcessPoolBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     # resctl hooks — the lock-step defaults keep this plane's timing
-    # step byte-equal to PR7 (no estimator, no realized feed, no
-    # calibration); the worker-sampling planes override the first,
-    # the fused overlapped plane all three.
+    # step bit-equal to the virtual reference (no estimator, no
+    # calibration); the worker-sampling plane overrides both.
     # ------------------------------------------------------------------
-    def _realized_stage_times(self, sync_s: float):
-        """Per-iteration realized stage map (canonical keys) for the
-        iteration just synchronized, or ``None`` when this plane ships
-        no per-batch timings (the parent-sampling plane only learns
-        worker stage times from the end-of-run ``wstats`` totals)."""
-        return None
-
     def _timing_estimator(self):
         """The :class:`OnlineEstimator` fed by :meth:`_sync_tail`, or
         ``None`` on planes that never calibrate."""
@@ -569,8 +561,8 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def _timing_calibrate(self) -> bool:
         """Whether the timing step should *apply* the estimator's
-        corrections (``depth_source == "realized"`` on the fused
-        plane) rather than just observe."""
+        corrections (``depth_source == "realized"`` on the
+        worker-sampling plane) rather than just observe."""
         return False
 
     def _dispatch(self, it: int, planned, conns, report,
@@ -614,8 +606,7 @@ class ProcessPoolBackend(ExecutionBackend):
         """Gather one iteration's results into the parent mirrors."""
         s = self.session
         for idx in busy:
-            msg = self._recv(conns, idx)
-            tag, rit, loss, acc, ntargets, grads = msg
+            tag, rit, loss, acc, grads = self._recv(conns, idx)
             if tag != "result" or rit != it:
                 raise WorkerError(
                     f"worker {idx} answered {tag!r} for iteration "

@@ -1,75 +1,68 @@
 """Partition-mapped sharded training plane (multi-node, simulated).
 
-The worker-sampling plane (:mod:`.process_sampling`) parallelizes the
-sample stage but still treats the feature store as one flat address
-space: any worker gathers any row at host-memory cost. A multi-node
+The worker-sampling plane (:mod:`.process_pipelined`) parallelizes the
+sample stage but treats the feature store as one flat address space:
+any worker gathers any row at host-memory cost. A multi-node
 deployment cannot — DistDGL (Zheng et al., "Distributed Hybrid CPU and
 GPU Training for GNNs on Billion-Scale Graphs") partitions the graph
 across machines, trains each partition's target vertices on the machine
 that owns them, and pays network cost for every feature row that lives
-on another partition. This backend reproduces that execution structure
-on one host, with the interconnect *accounted* rather than physical:
+on another partition. ``sharded`` reproduces that execution structure
+on one host, with the interconnect *accounted* rather than physical.
+It is the worker-sampling plane at depth 1 (``process_sampling``) with
+two things swapped — where rows come from and which targets each worker
+is dealt:
 
 * the graph is partitioned up front (``hash_partition`` — P3-style
   random assignment, the worst case for locality — or
   ``bfs_partition``, the METIS stand-in) into one shard per trainer
-  replica;
-* the :class:`~repro.runtime.shm.SharedFeatureStore` is **shard-
-  sliced**: features and labels are laid out in shard-major order
-  (per-shard contiguous slices + the
+  replica, and the :class:`~repro.runtime.shm.SharedFeatureStore` is
+  **shard-sliced**: features and labels are laid out in shard-major
+  order (per-shard contiguous slices + the
   :class:`~repro.graph.shard_map.ShardMap` translation arrays travel
-  in the segment), so worker ``k``'s local gathers stay inside its own
-  slice and every other row is a remote fetch it must bill;
-* the parent deals each shard **only the targets it owns**:
-  :class:`ShardPlan` mirrors the shared
+  in the segment);
+* the work source is :class:`ShardPlan`, which deals each shard **only
+  the targets it owns**: it mirrors the shared
   :class:`~repro.runtime.core.BatchPlan` epoch-for-epoch (same RNG
   stream, same bookkeeping) but filters each epoch permutation by the
   partition map and apportions every iteration's target budget across
   shards proportionally to the work each has left (largest-remainder
   rounding) — iteration counts, epoch coverage and per-iteration
-  budget conservation stay *exact*, which is what lets the statistical
-  conformance tier (plus its cross-node shard-partition assertion)
-  hold this plane to the same matrix as every other backend;
-* each worker resolves a minibatch's input rows three ways — local
+  budget conservation stay *exact*;
+* each worker's stage pipeline is a :class:`ShardStagePipeline`, whose
+  ``gather`` resolves a minibatch's input rows three ways — local
   slice, :class:`~repro.runtime.remote_cache.RemoteFeatureCache` hit
   (a PaGraph-style static cache of its halo's hottest vertices), or
   remote miss (read from the owning shard's slice, billed as remote
-  bytes) — and ships per-minibatch local/remote gather bytes with
-  every result (SNIPPETS' DistDGL accounting);
-* gradient sync stays the per-iteration all-reduce barrier via the
-  existing :class:`~repro.runtime.synchronizer.GradientSynchronizer`,
-  and DRM keeps being adjudicated in the parent per iteration — the
-  engine is reused per shard exactly as the single-node planes reuse
-  it per trainer.
+  bytes) — and returns a per-minibatch local/remote io record that
+  rides with its batch to the result message.
 
-Per-run local/remote byte totals and the cache hit rate flow into
-``report.kernel_stats`` (``shard_local_bytes`` / ``shard_remote_bytes``
-/ ``remote_cache_*`` keys ride the existing ``kstats`` pipe round
-trip) and the wall-clock bench's ``shard io`` column; per-minibatch
-records land in :attr:`ShardedReport.shard_io`.
+Gradient sync stays the per-iteration all-reduce barrier and DRM keeps
+being adjudicated in the parent, exactly as on every worker-sampling
+fixed point. Per-run local/remote byte totals and the cache hit rate
+flow into ``report.kernel_stats`` (``shard_local_bytes`` /
+``shard_remote_bytes`` / ``remote_cache_*`` keys ride the existing
+``kstats`` pipe round trip) and the wall-clock bench's ``shard io``
+column; per-minibatch records land in :attr:`ShardedReport.shard_io`.
 """
 
 from __future__ import annotations
 
-import functools
-import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from ... import kernels
-from ...errors import ConfigError, ProtocolError, WorkerError
+from ...errors import ConfigError, ProtocolError
 from ...graph.partition import bfs_partition, hash_partition
 from ...graph.shard_map import ShardMap
+from ...sampling.base import MiniBatch
 from ..core import PlannedIteration
-from ..stage_pipeline import apply_transfer_policy
+from ..stage_pipeline import StagePipeline
 from .options import ShardedOptions
-from .process_pool import _run_worker, _serve, _WorkerReplica, _WorkerSpec
-from .process_sampling import (
-    ProcessSamplingBackend,
-    ProcessSamplingReport,
-)
+from .process_pipelined import ProcessPipelinedReport
+from .process_sampling import ProcessSamplingBackend
 
 #: The partitioners a sharded backend can be constructed with.
 PARTITIONERS = {
@@ -216,45 +209,61 @@ def _apportion(take: int, remaining: np.ndarray) -> np.ndarray:
 # Worker side
 # ---------------------------------------------------------------------------
 
-class _ShardedReplica(_WorkerReplica):
-    """One shard's trainer replica: the shard-sliced store mapping plus
-    the local/cache/remote gather resolver."""
+class ShardStagePipeline(StagePipeline):
+    """One shard's worker pipeline over a shard-sliced store.
 
-    def __init__(self, store, spec: _WorkerSpec) -> None:
-        super().__init__(store, spec)
+    ``gather`` is the local / cache / remote resolver; ``labels_for``
+    maps targets through ``shard_row`` because labels, like features,
+    are stored shard-major.
+
+    Parameters
+    ----------
+    sampler:
+        The worker's private sampler.
+    store:
+        The attached shard-sliced
+        :class:`~repro.runtime.shm.SharedFeatureStore`; its manifest's
+        shard spec sizes the remote cache.
+    shard:
+        The shard this worker owns.
+    transfer_precision:
+        The PCIe quantization policy.
+    """
+
+    def __init__(self, sampler, store, shard: int,
+                 transfer_precision: str) -> None:
         from ..remote_cache import RemoteFeatureCache
 
-        self.shard = spec.index
+        super().__init__(sampler, store.features, store.labels,
+                         transfer_precision)
+        self.shard = shard
         smap = store.shard_map()
-        # Views into the segment (released before close, like
-        # features/labels); degrees is already a private copy.
+        # Views into the segment; they go when the pipeline does.
         self.parts = smap.parts
         self.shard_row = smap.shard_row
-        shard_cfg = store.manifest.shard
         self.cache = None
-        if shard_cfg.remote_cache_rows > 0:
-            halo = smap.halo(store.csr_graph(), self.shard)
-            cache = RemoteFeatureCache(shard_cfg.remote_cache_rows)
-            cache.admit(halo, self.degrees, self.features,
+        cache_rows = store.manifest.shard.remote_cache_rows
+        if cache_rows > 0:
+            cache = RemoteFeatureCache(cache_rows)
+            cache.admit(smap.halo(store.csr_graph(), shard),
+                        store.degrees, self.features,
                         rows_of=self.shard_row)
             self.cache = cache
         self._row_bytes = int(
             self.features.dtype.itemsize
             * int(np.prod(self.features.shape[1:], dtype=np.int64)))
-        self.last_io: dict[str, int] = {}
 
-    def train(self, spec: _WorkerSpec, mb):
-        """Resolve the batch's rows local/cache/remote, then the
-        session's exact widen + transfer policy and one
-        forward/backward.
+    def gather(self, mb: MiniBatch) -> np.ndarray:
+        return self.gather_io(mb)[0]
 
-        The assembled source rows are bit-identical to a flat gather
-        (cache rows are copies of the same store rows), so the math
-        stays inside the statistical tier's tolerances exactly like the
-        other worker-sampling planes; only the *accounting* knows which
-        interconnect each row crossed.
+    def gather_io(self, mb: MiniBatch) -> tuple[np.ndarray, dict]:
+        """Resolve the batch's rows local/cache/remote, widened to
+        float64, plus the batch's io record.
+
+        The assembled rows are bit-identical to a flat gather (cache
+        rows are copies of the same store rows); only the
+        *accounting* knows which interconnect each row crossed.
         """
-        t0 = time.perf_counter()
         ids = np.asarray(mb.input_nodes, dtype=np.int64)
         rows = self.shard_row[ids]
         local_mask = self.parts[ids] == self.shard
@@ -285,9 +294,7 @@ class _ShardedReplica(_WorkerReplica):
             "local_bytes": int(local_idx.size) * self._row_bytes,
             "remote_bytes": remote_rows * self._row_bytes,
         }
-        self.last_io = io
-        x0 = apply_transfer_policy(src.astype(np.float64), spec.kind,
-                                   spec.transfer_precision)
+        x0 = src.astype(np.float64)
         # Shard-io keys plus the standard gather keys the "kernel io"
         # bench column reads — this resolver replaces the registry's
         # gather dispatch, so it must keep the same books.
@@ -300,47 +307,11 @@ class _ShardedReplica(_WorkerReplica):
             remote_cache_misses=remote_rows,
             gather_calls=1, gather_rows=ids.size,
             gather_src_bytes=src.nbytes, gather_out_bytes=x0.nbytes)
-        self.note_stage("load", time.perf_counter() - t0)
+        return x0, io
 
-        t0 = time.perf_counter()
-        labels = self.labels[self.shard_row[np.asarray(
+    def labels_for(self, mb: MiniBatch) -> np.ndarray:
+        return self.labels[self.shard_row[np.asarray(
             mb.targets, dtype=np.int64)]]
-        rep = self.node.train_minibatch(mb, x0, labels, self.degrees)
-        self.note_stage("train", time.perf_counter() - t0)
-        return rep
-
-    def release_views(self) -> None:
-        self.parts = self.shard_row = None
-        super().release_views()
-
-
-def _train_shard_targets(replica: _ShardedReplica, spec: _WorkerSpec,
-                         msg):
-    """Handle one owned-target shard: sample locally, resolve rows
-    local/cache/remote, train, and ship the io record with the
-    result."""
-    _, it, targets = msg
-    t0 = time.perf_counter()
-    mb = replica.sampler.sample(targets)
-    replica.note_stage("sample", time.perf_counter() - t0)
-    rep = replica.train(spec, mb)
-    return ("result", it, rep.loss, rep.accuracy, mb.stats(),
-            np.asarray(mb.targets), replica.model.get_flat_grads(),
-            dict(replica.last_stage_s), dict(replica.last_io))
-
-
-def _setup_sharded(store, spec: _WorkerSpec):
-    from ...sampling import build_worker_sampler
-    replica = _ShardedReplica(store, spec)
-    replica.sampler = build_worker_sampler(store, spec.index)
-    return replica
-
-
-def _worker_main(conn, manifest, spec: _WorkerSpec) -> None:
-    """One shard replica (module-level: picklable under ``spawn``)."""
-    _run_worker(conn, manifest, spec, _setup_sharded,
-                functools.partial(_serve,
-                                  handle_train=_train_shard_targets))
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +319,8 @@ def _worker_main(conn, manifest, spec: _WorkerSpec) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ShardedReport(ProcessSamplingReport):
-    """A :class:`ProcessSamplingReport` plus the partition evidence and
+class ShardedReport(ProcessPipelinedReport):
+    """A :class:`ProcessPipelinedReport` plus the partition evidence and
     the interconnect accounting the sharded plane owes its tier.
 
     ``shard_parts`` is the partition map the run trained under — the
@@ -410,9 +381,7 @@ class ShardedBackend(ProcessSamplingBackend):
     """
 
     name = "sharded"
-    conformance_tier = "statistical"
     options_cls = ShardedOptions
-    overlaps_transfer = False
 
     def __init__(self, session, timeout_s: float = 120.0,
                  mp_context: str | None = None,
@@ -439,14 +408,13 @@ class ShardedBackend(ProcessSamplingBackend):
                                     session.num_trainers)
 
     # -- subclass hooks ------------------------------------------------
-    def _worker_entry(self):
-        return _worker_main
+    def _work_source(self):
+        """Deal from the partition-routed plan, not the quota cursor."""
+        return self.shard_plan
 
     def _create_store(self):
-        from ..shm import SharedFeatureStore, SharedShardSpec
-        return SharedFeatureStore.create(
-            self.session.dataset,
-            sampler_spec=self.session.shared_sampler_spec(),
+        from ..shm import SharedShardSpec
+        return super()._create_store(
             shard_map=self.shard_map,
             shard_spec=SharedShardSpec(
                 num_shards=self.shard_map.num_shards,
@@ -458,38 +426,3 @@ class ShardedBackend(ProcessSamplingBackend):
         return ShardedReport(iterations=iterations, num_workers=n,
                              worker_targets=[[] for _ in range(n)],
                              shard_parts=self.shard_map.parts)
-
-    def _drive(self, iterations: int, conns, report, rows) -> None:
-        """Drive the loop off the partition-mapped dealer instead of
-        the quota-cursor plan — everything downstream (dispatch,
-        collect, the shared sync tail, DRM adjudication) is inherited
-        unchanged."""
-        for it, planned in self.shard_plan.iterate(iterations):
-            self._run_iteration(it, planned, conns, report, rows)
-
-    def _collect(self, it: int, busy, conns, report, stats_by_idx,
-                 losses, accs) -> None:
-        """The worker-sampling collect plus the per-minibatch shard-io
-        record every result now carries."""
-        from ..protocol import Signal
-
-        s = self.session
-        self._iter_stage_s: dict[int, dict] = {}
-        for idx in busy:
-            msg = self._recv(conns, idx)
-            tag, rit, loss, acc, st, echoed, grads, stage_s, io = msg
-            if tag != "result" or rit != it:
-                raise WorkerError(
-                    f"worker {idx} answered {tag!r} for iteration "
-                    f"{rit}, expected result for {it}")
-            s.trainers[idx].model.set_flat_grads(grads)
-            stats_by_idx[idx] = st
-            self._iter_stage_s[idx] = stage_s
-            report.total_edges += st.total_edges
-            report.worker_targets[idx].append(echoed)
-            report.shard_io.append(
-                {"iteration": it, "worker": idx, **io})
-            losses.append(loss)
-            accs.append(acc)
-            report.protocol_log.record(it, Signal.DONE,
-                                       s.trainers[idx].name)

@@ -111,7 +111,7 @@ class SharedPrefetchSpec:
     """Worker-local pipeline parameters for overlapped process planes
     (picklable).
 
-    The fused process × pipeline backend overlaps each worker's local
+    The worker-sampling process plane overlaps each worker's local
     sample → gather → transfer chain with its train+sync stage over
     :class:`~repro.runtime.prefetch.PrefetchBuffer` queues. ``capacity``
     sizes those stage buffers — it must be at least the parent's

@@ -9,11 +9,13 @@ written once over the stage methods of a
     put ──► [sample] ──sample──► [gather] ──gather──► [transfer]
         ──transfer──► [train] ──► get
 
-Both overlapped planes run it: the ``pipelined`` backend with one lane
-per trainer, each ``process_pipelined`` worker with one lane over its
-shared-memory views. Batches stay in flight across stages, so the chain
-never passes a :class:`~repro.kernels.BufferPool` (a pooled gather
-result would be overwritten while still queued; ``docs/kernels.md``).
+Two planes run it: the ``pipelined`` backend with one lane per
+trainer, and every worker of the worker-sampling process plane
+(``process_pipelined``, ``process_sampling``, ``sharded``) with one
+lane over its shared-memory views. Batches stay in flight across
+stages, so the chain never passes a :class:`~repro.kernels.BufferPool`
+(a pooled gather result would be overwritten while still queued;
+``docs/kernels.md``).
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ class StageChain:
     Parameters
     ----------
     pipeline:
-        The stage methods the chain runs (``sample`` / ``gather`` /
+        The stage methods the chain runs (``sample`` / ``gather_io`` /
         ``transfer`` / ``labels_for``).
     kinds:
         Trainer kind per lane (``"cpu"``/``"accel"``) — selects each
@@ -290,15 +292,16 @@ class StageChain:
     def _gather(self, lane: int, work):
         mb, sample_s = work
         t0 = time.perf_counter()
-        x0 = self.pipeline.gather(mb)
-        return mb, x0, sample_s, time.perf_counter() - t0
+        x0, io = self.pipeline.gather_io(mb)
+        return mb, x0, io, sample_s, time.perf_counter() - t0
 
     def _transfer(self, lane: int, work) -> PreparedBatch:
-        mb, x0, sample_s, gather_s = work
+        mb, x0, io, sample_s, gather_s = work
         t0 = time.perf_counter()
         x0 = self.pipeline.transfer(x0, self.kinds[lane])
         transfer_s = time.perf_counter() - t0
         return PreparedBatch(
             mb=mb, x0=x0, labels=self.pipeline.labels_for(mb),
             timings=StageTimings(sample_s=sample_s, gather_s=gather_s,
-                                 transfer_s=transfer_s))
+                                 transfer_s=transfer_s),
+            io=io)

@@ -24,9 +24,10 @@ device:
 composes another over the same sampler/kernel/feature-store stack. The
 overlapped planes run its stage methods on threads through
 :class:`~repro.runtime.stage_chain.StageChain`: the ``pipelined``
-backend over ``session.pipeline``, each ``process_pipelined`` worker
-over a pipeline it builds on its shared-memory views and private
-sampler.
+backend over ``session.pipeline``, each worker of the worker-sampling
+process plane over a pipeline it builds on its shared-memory views and
+private sampler (the sharded plane's workers build a subclass whose
+gather resolves shard-local, cached and remote rows).
 
 The three module-level stage functions are pure; the lock-step process
 workers call them directly against their own feature mappings, and
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Protocol, runtime_checkable
 
 import numpy as np
@@ -156,13 +157,15 @@ class StageTimings:
 class PreparedBatch:
     """One work item after the full producer chain: the sampled
     computational graph, its device-ready input features, its labels
-    (``None`` for label-free serving items), and the per-stage wall
-    times the chain realized."""
+    (``None`` for label-free serving items), the per-stage wall times
+    the chain realized, and the gather's interconnect record (see
+    :meth:`StagePipeline.gather_io`; empty on a flat store)."""
 
     mb: MiniBatch
     x0: np.ndarray
     labels: np.ndarray | None
     timings: StageTimings
+    io: dict[str, int] = field(default_factory=dict)
 
 
 class StagePipeline:
@@ -175,8 +178,8 @@ class StagePipeline:
         serialized through :attr:`sampler_lock`).
     features / labels:
         The feature matrix and (optionally) label vector the gather and
-        label stages read. Fused process-plane workers construct a
-        pipeline over their shared-memory views; ``labels=None``
+        label stages read. Worker-sampling process workers construct
+        a pipeline over their shared-memory views; ``labels=None``
         supports label-free (inference) stores.
     transfer_precision:
         The PCIe quantization policy (``"fp32"``/``"fp16"``/``"int8"``).
@@ -210,6 +213,12 @@ class StagePipeline:
     def gather(self, mb: MiniBatch) -> np.ndarray:
         """Feature-gather (load) stage: host-DDR row gather, fp32/64."""
         return gather_feature_rows(self.features, mb)
+
+    def gather_io(self, mb: MiniBatch) -> tuple[np.ndarray, dict]:
+        """:meth:`gather` plus the batch's interconnect record — what
+        the stage chain calls, so the record travels with its batch. A
+        flat store crosses no interconnect: the record is empty."""
+        return self.gather(mb), {}
 
     def transfer(self, x0: np.ndarray, trainer_kind: str) -> np.ndarray:
         """Transfer stage: the PCIe quantization policy for this link."""

@@ -204,16 +204,18 @@ class TestProcessBackend:
 
 
 class TestWorkerSamplingPlanes:
-    """Properties shared by every worker-side-sampling plane (the
-    lock-step ``process_sampling`` backend and the overlapped
-    ``process_pipelined`` fusion), parametrized over both so a fix to
-    one assertion can never silently miss the sibling plane: shard
-    partitioning, seeded determinism, resume, epoch rollover, shm
-    teardown, and infra-error typing."""
+    """Properties shared by every fixed point of the worker-sampling
+    plane (``process_sampling`` at depth 1, ``process_pipelined`` with
+    look-ahead, and ``sharded`` over a partitioned store), parametrized
+    over all three so a fix to one assertion can never silently miss a
+    sibling: shard partitioning, seeded determinism, resume, epoch
+    rollover, shm teardown, and infra-error typing."""
 
     @pytest.fixture(params=[ProcessSamplingBackend,
-                            ProcessPipelinedBackend],
-                    ids=["process_sampling", "process_pipelined"])
+                            ProcessPipelinedBackend,
+                            ShardedBackend],
+                    ids=["process_sampling", "process_pipelined",
+                         "sharded"])
     def backend_cls(self, request):
         return request.param
 
@@ -324,8 +326,10 @@ class TestWorkerSamplingPlanes:
 
 
 class TestProcessSamplingBackend:
-    """Worker-side-sampling specifics not shared with the fused plane
-    (the shared matrix lives in TestWorkerSamplingPlanes)."""
+    """``process_sampling`` specifics: sampling really moved to the
+    workers, and depth-1 dealing is lock-step with DRM (the matrix
+    shared with the other fixed points lives in
+    TestWorkerSamplingPlanes)."""
 
     def _session(self, tiny_ds, eq_cfg, n=3):
         return TrainingSession(
@@ -343,6 +347,38 @@ class TestProcessSamplingBackend:
         rs = ProcessSamplingBackend(self._session(tiny_ds, eq_cfg),
                                     timeout_s=60).run(3)
         assert rs.total_edges != rp.total_edges
+
+    def test_dealing_is_lock_step_with_drm(self, tiny_ds, eq_cfg):
+        """The lock-step clause of the backend contract
+        (``backends/base.py``): DRM sees iteration ``i`` before
+        iteration ``i + 1``'s quotas are read. At depth 1 exactly one
+        iteration is ever in flight, and every full iteration is dealt
+        with the split its own timing step records — so the quota
+        dealt for ``i + 1`` is the split iteration ``i``'s DRM step
+        left in effect. Epoch tails deal fewer targets than the split
+        and are skipped. A one-iteration dealing lag would deal the
+        iteration after a DRM move with the stale split."""
+        from repro.hw.topology import hyscale_cpu_fpga_platform
+
+        # One accelerator: on this dataset DRM moves targets between
+        # the CPU and the accelerator at epoch ends.
+        session = TrainingSession(
+            tiny_ds, eq_cfg,
+            SystemConfig(hybrid=True, drm=True, prefetch=True,
+                         transfer_precision="int8"),
+            hyscale_cpu_fpga_platform(1), profile_probes=2)
+        rep = ProcessSamplingBackend(session, timeout_s=60).run(
+            3 * session.iterations_per_epoch())
+        assert [n for n, _ in rep.lookahead_history] == \
+            [1] * rep.iterations
+        quotas = [(sp.cpu_targets, *sp.accel_targets)
+                  for sp in rep.split_history]
+        assert len(set(quotas)) > 1, "DRM never moved: the check is moot"
+        full = [i for i, sizes in enumerate(rep.dealt_sizes)
+                if sum(sizes) == sum(quotas[i])]
+        assert len(full) > rep.iterations // 2
+        for i in full:
+            assert rep.dealt_sizes[i] == quotas[i], i
 
 
 class TestPipelinedBackend:

@@ -400,24 +400,31 @@ class TestDurationRowGating:
         times = _times(0.0)
         assert timing_session.duration_row(times)[2] == 0.0
 
-    def test_backend_capability_flags(self):
+    def test_backend_capability_flags(self, timing_session):
         from repro.runtime import (
             PipelinedBackend,
             ProcessPipelinedBackend,
             ProcessPoolBackend,
             ProcessSamplingBackend,
+            ShardedBackend,
             ThreadedBackend,
         )
         from repro.runtime.backends.virtual import VirtualTimeBackend
+        s = timing_session
         # Strict planes must price rows exactly like the reference.
-        assert VirtualTimeBackend.overlaps_transfer
-        assert ThreadedBackend.overlaps_transfer
-        assert ProcessPoolBackend.overlaps_transfer
-        # The lock-step statistical plane is the one exception...
-        assert not ProcessSamplingBackend.overlaps_transfer
-        # ...and its fused subclass overlaps again.
-        assert ProcessPipelinedBackend.overlaps_transfer
-        assert PipelinedBackend.overlaps_transfer
+        assert VirtualTimeBackend(s).overlaps_transfer
+        assert ThreadedBackend(s).overlaps_transfer
+        assert ProcessPoolBackend(s).overlaps_transfer
+        # The worker-sampling plane overlaps only with a window deeper
+        # than one: its depth-1 fixed points deal each transfer after
+        # the previous gradient pull...
+        assert not ProcessSamplingBackend(s).overlaps_transfer
+        assert not ShardedBackend(s).overlaps_transfer
+        assert not ProcessPipelinedBackend(
+            s, initial_depth=1, max_depth=1).overlaps_transfer
+        # ...while a deeper window keeps batches in flight across it.
+        assert ProcessPipelinedBackend(s).overlaps_transfer
+        assert PipelinedBackend(s).overlaps_transfer
 
 
 class TestTimingStepHooks:

@@ -34,7 +34,7 @@ class _Batch:
 
 
 class StubPipeline:
-    """The four stage methods a chain calls; ``fail_in`` names the stage
+    """The stage methods a chain calls; ``fail_in`` names the stage
     that raises ``error``, ``block_in`` the one that waits on
     ``release``."""
 
@@ -58,6 +58,9 @@ class StubPipeline:
     def gather(self, mb):
         self._enter("gather")
         return mb.targets.astype(np.float64)
+
+    def gather_io(self, mb):
+        return self.gather(mb), {}
 
     def transfer(self, x0, trainer_kind):
         self._enter("transfer")
