@@ -144,7 +144,7 @@ def run_smoke() -> ExperimentResult:
                     float(np.mean(rep.losses)),
                     f"{min(depths)}-{max(depths)}",
                     summarize_calibration(
-                        getattr(rep, "calibration", {})
+                        rep.calibration
                         or backend.estimator.summary()),
                     backend._grant is None)
     res.notes.append(

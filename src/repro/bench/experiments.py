@@ -253,9 +253,10 @@ def run_wallclock_scalability(trainer_counts=(1, 2, 4),
     without an online estimator — and timing-plane-less sessions like
     these, whose estimator never warms — show ``-``.
 
-    Requires a live backend exposing ``run(iterations)`` and a
-    ``wall_time_s`` report field (``"threaded"``, ``"process"``,
-    ``"process_sampling"``, ``"pipelined"``, ``"process_pipelined"``).
+    Requires a live backend exposing ``run(iterations)`` that returns
+    a :class:`~repro.runtime.RunReport` (``"threaded"``, ``"process"``,
+    ``"process_sampling"``, ``"pipelined"``, ``"process_pipelined"``,
+    ``"sharded"``).
     """
     from ..config import SystemConfig
     from ..errors import ConfigError
@@ -294,19 +295,13 @@ def run_wallclock_scalability(trainer_counts=(1, 2, 4),
             rep = live.run(iterations)
             if base_time is None:
                 base_time = rep.wall_time_s
-            overlap = getattr(rep, "overlap_summary", None)
             res.add_row(model, n, rep.wall_time_s,
                         base_time / max(rep.wall_time_s, 1e-12),
                         float(np.mean(rep.losses)),
-                        overlap() if overlap is not None else "-",
-                        format_traffic(
-                            getattr(rep, "kernel_stats", {}),
-                            iterations),
-                        format_shard_io(
-                            getattr(rep, "kernel_stats", {}),
-                            iterations),
-                        summarize_calibration(
-                            getattr(rep, "calibration", {})))
+                        rep.overlap_summary(),
+                        format_traffic(rep.kernel_stats, iterations),
+                        format_shard_io(rep.kernel_stats, iterations),
+                        summarize_calibration(rep.calibration))
     res.notes.append(
         "process backend = one worker process per trainer over the "
         "shared-memory feature store; process_sampling = workers also "
@@ -314,7 +309,9 @@ def run_wallclock_scalability(trainer_counts=(1, 2, 4),
         "GIL-bound reference; pipelined = overlapped "
         "sample/gather/transfer stage threads; process_pipelined = "
         "the fusion: look-ahead shard dealing + worker-local stage "
-        "overlap (overlap column: adaptive depth range | per-stage "
+        "overlap; sharded = process_sampling over a partitioned graph, "
+        "each worker dealt the targets its shard owns (overlap "
+        "column: adaptive depth range | per-stage "
         "items, buffer high-water, mean occupancy; kernel io column: "
         "per-iteration gather/payload traffic + buffer-pool hit rate "
         "from the kernel registry counters; shard io column: local "

@@ -48,7 +48,8 @@ This package is the paper's primary contribution (§III-§IV):
   tiered conformance suite
   (``tests/integration/backend_conformance.py``) at the tier their
   ``conformance_tier`` capability flag declares — the full backend-
-  author guide lives in ``docs/backends.md``;
+  author guide lives in ``docs/backends.md``. Every live backend
+  returns one :class:`RunReport`;
 * :mod:`repro.runtime.shm` — :class:`SharedFeatureStore`, the
   single-segment shared-memory mapping of the dataset's features,
   labels and CSR topology that process workers gather from zero-copy;
@@ -91,8 +92,8 @@ from .backends import (
     ProcessPipelinedBackend,
     ProcessPoolBackend,
     ProcessSamplingBackend,
+    RunReport,
     ShardedBackend,
-    ShardedReport,
     ThreadedBackend,
     VirtualTimeBackend,
     available_backends,
@@ -101,20 +102,10 @@ from .backends import (
     register_backend,
     resolve_options,
 )
-from .backends.threaded import ExecutorReport
 from .backends.virtual import EpochReport
-from .backends.process_pool import ProcessReport
-from .backends.pipelined import (
-    DEPTH_SOURCES,
-    PipelinedReport,
-    StageStats,
-    adaptive_depth,
-    seed_depth,
-)
-from .backends.process_pipelined import (
-    LookaheadDealer,
-    ProcessPipelinedReport,
-)
+from .backends.pipelined import DEPTH_SOURCES, adaptive_depth, seed_depth
+from .backends.process_pipelined import LookaheadDealer
+from .stage_chain import StageStats
 from .resctl import (
     DEFAULT_ALLOCATOR,
     DepthGrant,
@@ -154,10 +145,7 @@ __all__ = [
     "PipelinedBackend",
     "ProcessPipelinedBackend",
     "ShardedBackend",
-    "ShardedReport",
-    "ProcessReport",
-    "PipelinedReport",
-    "ProcessPipelinedReport",
+    "RunReport",
     "LookaheadDealer",
     "StageStats",
     "adaptive_depth",
@@ -185,5 +173,4 @@ __all__ = [
     "HyScaleGNN",
     "EpochReport",
     "ThreadedExecutor",
-    "ExecutorReport",
 ]

@@ -64,7 +64,7 @@ from __future__ import annotations
 
 from ...errors import ConfigError
 from ...registry import Registry
-from .base import ExecutionBackend
+from .base import ExecutionBackend, RunReport
 from .options import (
     BackendOptions,
     LiveOptions,
@@ -78,21 +78,13 @@ from .options import (
     validate_options_cls,
 )
 from .virtual import EpochReport, VirtualTimeBackend
-from .threaded import ExecutorReport, ThreadedBackend
-from .process_pool import ProcessPoolBackend, ProcessReport
-from .pipelined import (
-    PipelinedBackend,
-    PipelinedReport,
-    StageStats,
-    adaptive_depth,
-)
-from .process_pipelined import (
-    LookaheadDealer,
-    ProcessPipelinedBackend,
-    ProcessPipelinedReport,
-)
+from .threaded import ThreadedBackend
+from .process_pool import ProcessPoolBackend
+from .pipelined import PipelinedBackend, adaptive_depth
+from .process_pipelined import LookaheadDealer, ProcessPipelinedBackend
 from .process_sampling import ProcessSamplingBackend
-from .sharded import ShardedBackend, ShardedReport, ShardPlan
+from .sharded import ShardedBackend, ShardPlan
+from ..stage_chain import StageStats
 
 #: name -> backend class. A :class:`~repro.registry.Registry` (the
 #: unified registry discipline), dict-compatible for legacy call sites;
@@ -157,11 +149,7 @@ __all__ = [
     "ProcessPipelinedBackend",
     "ShardedBackend",
     "EpochReport",
-    "ExecutorReport",
-    "ProcessReport",
-    "PipelinedReport",
-    "ProcessPipelinedReport",
-    "ShardedReport",
+    "RunReport",
     "ShardPlan",
     "LookaheadDealer",
     "StageStats",

@@ -50,23 +50,23 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ...errors import ProtocolError
 from ...kernels import scoped_counters
-from ...perfmodel.model import StageTimes, WorkloadSplit
-from ...sim.trace import Timeline
-from ..protocol import ProtocolLog, Signal
+from ...perfmodel.model import StageTimes
+from ..protocol import Signal
 from ..resctl import (
     DEFAULT_ALLOCATOR,
     NodeAllocator,
     OnlineEstimator,
     fold_worker_realized,
 )
-from ..stage_chain import StageChain, StageStats
-from .base import ExecutionBackend
+from ..stage_chain import StageChain
+# ``summarize_overlap`` is re-exported: the formatter lives with
+# ``RunReport.overlap_summary`` in ``base``.
+from .base import ExecutionBackend, RunReport, summarize_overlap
 from .options import OverlapOptions
 
 #: Valid values of the overlapped planes' ``depth_source`` knob.
@@ -130,55 +130,6 @@ def adaptive_depth(times: StageTimes, cap: int, floor: int = 1) -> int:
     if not math.isfinite(ratio):
         return cap
     return max(floor, min(cap, math.ceil(ratio)))
-
-
-def summarize_overlap(stage_stats: dict[str, StageStats],
-                      depth_history: list[tuple[int, int]]) -> str:
-    """One-line per-stage overlap report for benches/logs — the single
-    formatter behind every overlapped report's ``overlap_summary()``
-    (the wall-clock bench renders it in the ``overlap`` column)."""
-    stats = " | ".join(s.describe() for s in stage_stats.values())
-    depths = [d for _, d in depth_history]
-    rng = f"{min(depths)}-{max(depths)}" if depths else "static"
-    return f"depth={rng} | {stats}"
-
-
-@dataclass
-class PipelinedReport:
-    """Outcome of a pipelined run.
-
-    Field-compatible with the other live planes' reports (the
-    conformance kit reads all of them generically), plus the pipeline's
-    own observability: per-stage occupancy stats, the adaptive-depth
-    trajectory, the exact multiset of trained targets (what the
-    statistical tier's coverage assertions consume), and the run's
-    kernel-traffic counter delta (``kernel_stats``).
-    """
-
-    iterations: int
-    losses: list[float] = field(default_factory=list)
-    accuracies: list[float] = field(default_factory=list)
-    wall_time_s: float = 0.0
-    protocol_log: ProtocolLog = field(default_factory=ProtocolLog)
-    replicas_consistent: bool = False
-    stage_history: list[StageTimes] = field(default_factory=list)
-    split_history: list[WorkloadSplit] = field(default_factory=list)
-    total_edges: float = 0.0
-    virtual_time_s: float = 0.0
-    timeline: Timeline = field(default_factory=Timeline)
-    trained_targets: list[np.ndarray] = field(default_factory=list)
-    stage_stats: dict[str, StageStats] = field(default_factory=dict)
-    depth_history: list[tuple[int, int]] = field(default_factory=list)
-    prefetch_high_water: int = 0
-    kernel_stats: dict[str, int] = field(default_factory=dict)
-    #: Per-stage model-vs-realized calibration digest (the resctl
-    #: estimator's ``summary()``): correction factor, relative error,
-    #: observation count, warmth. Empty on functional-only sessions.
-    calibration: dict[str, dict] = field(default_factory=dict)
-
-    def overlap_summary(self) -> str:
-        """One-line per-stage overlap report for benches/logs."""
-        return summarize_overlap(self.stage_stats, self.depth_history)
 
 
 class LookaheadControl:
@@ -342,20 +293,12 @@ class PipelinedBackend(LookaheadControl, ExecutionBackend):
         self.timeout_s = timeout_s
 
     # ------------------------------------------------------------------
-    def run_epoch(self, max_iterations: int | None = None
-                  ) -> PipelinedReport:
-        """Execute one epoch (or ``max_iterations``, whichever is less)."""
-        iters = self.session.iterations_per_epoch()
-        if max_iterations is not None:
-            iters = min(iters, max_iterations)
-        return self.run(iters)
-
-    def _run_granted(self, iterations: int) -> PipelinedReport:
+    def _run_granted(self, iterations: int) -> RunReport:
         """Iterations follow the shared batch plan (rolling into fresh
         epoch permutations as needed); the all-reduce stays a per-
         iteration barrier, so only *producer* work runs ahead."""
         s = self.session
-        report = PipelinedReport(iterations=iterations)
+        report = RunReport(iterations=iterations, trained_targets=[])
         rows: list[list[float]] = []
         depth = self._seed_depth(report)
         # Each chain thread enlists the session-scoped counter handle,
@@ -393,10 +336,7 @@ class PipelinedBackend(LookaheadControl, ExecutionBackend):
         report.replicas_consistent = \
             s.synchronizer.replicas_consistent()
         report.stage_stats = chain.stage_stats()
-        if s.has_timing and rows:
-            timeline = s.make_pipeline().run(rows)
-            report.timeline = timeline
-            report.virtual_time_s = timeline.makespan
+        report.resolve_timeline(s, rows)
         return report
 
     # ------------------------------------------------------------------

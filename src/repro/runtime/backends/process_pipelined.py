@@ -62,7 +62,6 @@ import threading
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -70,17 +69,12 @@ import numpy as np
 from ...errors import ProtocolError, WorkerError
 from ..prefetch import PrefetchBuffer
 from ..resctl import NodeAllocator
-from ..stage_chain import (
-    CHAIN_STAGES,
-    StageChain,
-    StageStats,
-    fold_stage_stats,
-)
+from ..stage_chain import CHAIN_STAGES, StageChain, fold_stage_stats
 from ..stage_pipeline import StagePipeline
-from .pipelined import LookaheadControl, summarize_overlap
+from .base import RunReport
+from .pipelined import LookaheadControl
 from .process_pool import (
     ProcessPoolBackend,
-    ProcessReport,
     _WorkerReplica,
     _WorkerSpec,
     _run_worker,
@@ -327,55 +321,6 @@ def _worker_main(conn, manifest, spec: _WorkerSpec) -> None:
 # Parent-side backend
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProcessPipelinedReport(ProcessReport):
-    """A :class:`ProcessReport` plus the coverage evidence worker-side
-    sampling owes the statistical tier and the plane's overlap
-    observability.
-
-    ``trained_targets`` is the per-deal list of target-id slices in
-    deal order (what the tier's epoch-coverage assertion consumes, same
-    field the pipelined report exposes). ``worker_targets[k]`` is
-    worker ``k``'s list of **echoed** target ids — the ``V^L`` of the
-    batches it actually sampled and trained, reported back over the
-    pipe, *not* a copy of the parent's dealing bookkeeping — so the
-    kit's partition assertion genuinely audits worker behavior.
-
-    ``stage_stats`` aggregates every worker's stage-buffer accounting
-    (items through, high-water, mean occupancy — same shape as the
-    pipelined plane's per-stage overlap report); ``depth_history`` is
-    the adaptive look-ahead trajectory ``(iteration, depth)``;
-    ``lookahead_history[i]`` records ``(in_flight, depth)`` at the
-    moment iteration ``i`` was retired for synchronization — the
-    bounded-queue audit trail: ``in_flight <= max_depth`` always
-    (pinned by tests), though after an adaptive *shrink* ``in_flight``
-    may transiently exceed the new ``depth`` while the window drains
-    (shrinking never revokes dealt shards, exactly like
-    ``PrefetchBuffer.resize``); ``dealt_sizes[i]`` is iteration
-    ``i``'s per-trainer batch sizes *as dealt* — under look-ahead
-    these lag DRM adjustments by the window size (the DRM-lag
-    regression test keys off this).
-    """
-
-    trained_targets: list[np.ndarray] = field(default_factory=list)
-    worker_targets: list[list[np.ndarray]] = field(default_factory=list)
-    stage_stats: dict[str, StageStats] = field(default_factory=dict)
-    depth_history: list[tuple[int, int]] = field(default_factory=list)
-    lookahead_history: list[tuple[int, int]] = \
-        field(default_factory=list)
-    dealt_sizes: list[tuple[int, ...]] = field(default_factory=list)
-    prefetch_high_water: int = 0
-    #: Per-stage model-vs-realized calibration report from the
-    #: backend's :class:`~repro.runtime.resctl.OnlineEstimator`
-    #: (correction factor, relative error, observation count) —
-    #: populated on timing sessions under either ``depth_source``.
-    calibration: dict[str, dict] = field(default_factory=dict)
-
-    def overlap_summary(self) -> str:
-        """One-line per-stage overlap report for benches/logs."""
-        return summarize_overlap(self.stage_stats, self.depth_history)
-
-
 class ProcessPipelinedBackend(LookaheadControl, ProcessPoolBackend):
     """Worker processes that sample their own mini-batches and overlap
     the producer chain with training.
@@ -444,12 +389,12 @@ class ProcessPipelinedBackend(LookaheadControl, ProcessPoolBackend):
                 capacity=self.max_depth, timeout_s=self.timeout_s),
             **layout)
 
-    def _make_report(self, iterations: int,
-                     n: int) -> ProcessPipelinedReport:
-        return ProcessPipelinedReport(iterations=iterations,
-                                      num_workers=n,
-                                      worker_targets=[[] for _ in
-                                                      range(n)])
+    def _make_report(self, iterations: int, n: int) -> RunReport:
+        """Riders: the dealt slices and each worker's echoed
+        targets."""
+        return RunReport(iterations=iterations, num_workers=n,
+                         trained_targets=[],
+                         worker_targets=[[] for _ in range(n)])
 
     # ------------------------------------------------------------------
     def _drive(self, iterations: int, conns, report, rows) -> None:
@@ -532,8 +477,7 @@ class ProcessPipelinedBackend(LookaheadControl, ProcessPoolBackend):
             report.total_edges += st.total_edges
             report.worker_targets[idx].append(echoed)
             if io:
-                # Only a shard-sliced store bills an interconnect, and
-                # only the sharded report carries the records.
+                # Only a shard-sliced store bills an interconnect.
                 report.shard_io.append(
                     {"iteration": it, "worker": idx, **io})
             losses.append(loss)

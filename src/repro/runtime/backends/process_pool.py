@@ -54,16 +54,14 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ...errors import ProtocolError, StageTimeoutError, WorkerError
-from ...perfmodel.model import StageTimes, WorkloadSplit
-from ...sim.trace import Timeline
-from ..protocol import ProtocolLog, Signal
+from ..protocol import Signal
 from ..resctl import fold_worker_realized, map_worker_totals
-from .base import ExecutionBackend
+from .base import ExecutionBackend, RunReport
 from .options import ProcessOptions
 
 
@@ -79,45 +77,6 @@ class _WorkerSpec:
     seed: int
     learning_rate: float
     transfer_precision: str
-
-
-@dataclass
-class ProcessReport:
-    """Outcome of a multi-process run.
-
-    Field-compatible with the threaded plane's ``ExecutorReport`` (the
-    conformance kit reads both generically). ``wall_time_s`` is real
-    elapsed *training* time — clocked from all workers reporting ready
-    to the last synchronized iteration, so it excludes process spawn
-    and the shared-memory copy (reported separately as
-    ``startup_time_s``), the final parity audit, and teardown;
-    ``virtual_time_s`` is the modelled makespan when the session
-    carries a timing plane. ``kernel_stats`` sums every worker's
-    kernel-traffic counters (:mod:`repro.kernels.stats` — bytes
-    gathered, quantized payload bytes, buffer-pool hits/misses),
-    collected over the pipes after the training clock stops.
-    """
-
-    iterations: int
-    num_workers: int = 0
-    losses: list[float] = field(default_factory=list)
-    accuracies: list[float] = field(default_factory=list)
-    wall_time_s: float = 0.0
-    startup_time_s: float = 0.0
-    protocol_log: ProtocolLog = field(default_factory=ProtocolLog)
-    replicas_consistent: bool = False
-    stage_history: list[StageTimes] = field(default_factory=list)
-    split_history: list[WorkloadSplit] = field(default_factory=list)
-    total_edges: float = 0.0
-    virtual_time_s: float = 0.0
-    timeline: Timeline = field(default_factory=Timeline)
-    kernel_stats: dict[str, int] = field(default_factory=dict)
-    #: Realized worker-side stage accounting summed over the pool,
-    #: ``{canonical_stage: (count, total_s)}`` — the ``wstats``
-    #: round trip (sibling of ``kernel_stats``), attributed onto
-    #: the model's stage columns by each worker's trainer kind.
-    stage_seconds: dict[str, tuple[int, float]] = field(
-        default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +286,7 @@ class ProcessPoolBackend(ExecutionBackend):
         self.mp_context = mp_context
 
     # ------------------------------------------------------------------
-    def run_epoch(self, max_iterations: int | None = None
-                  ) -> ProcessReport:
-        """Execute one epoch (or ``max_iterations``, whichever is less)."""
-        iters = self.session.iterations_per_epoch()
-        if max_iterations is not None:
-            iters = min(iters, max_iterations)
-        return self.run(iters)
-
-    def run(self, iterations: int) -> ProcessReport:
+    def run(self, iterations: int) -> RunReport:
         """Execute ``iterations`` synchronized iterations.
 
         Workers and the shared-memory store live exactly as long as this
@@ -401,10 +352,7 @@ class ProcessPoolBackend(ExecutionBackend):
             report.replicas_consistent = self._check_parity(conns)
         finally:
             self._shutdown(conns, procs, store)
-        if s.has_timing and rows:
-            timeline = s.make_pipeline().run(rows)
-            report.timeline = timeline
-            report.virtual_time_s = timeline.makespan
+        report.resolve_timeline(s, rows)
         return report
 
     # ------------------------------------------------------------------
@@ -421,8 +369,10 @@ class ProcessPoolBackend(ExecutionBackend):
         from ..shm import SharedFeatureStore
         return SharedFeatureStore.create(self.session.dataset)
 
-    def _make_report(self, iterations: int, n: int) -> ProcessReport:
-        return ProcessReport(iterations=iterations, num_workers=n)
+    def _make_report(self, iterations: int, n: int) -> RunReport:
+        """The run's report; a plane that produces a rider sets it
+        here."""
+        return RunReport(iterations=iterations, num_workers=n)
 
     # ------------------------------------------------------------------
     def _drive(self, iterations: int, conns, report, rows) -> None:

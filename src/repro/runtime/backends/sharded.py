@@ -43,12 +43,12 @@ fixed point. Per-run local/remote byte totals and the cache hit rate
 flow into ``report.kernel_stats`` (``shard_local_bytes`` /
 ``shard_remote_bytes`` / ``remote_cache_*`` keys ride the existing
 ``kstats`` pipe round trip) and the wall-clock bench's ``shard io``
-column; per-minibatch records land in :attr:`ShardedReport.shard_io`.
+column; per-minibatch records land in the report's ``shard_io``, and
+the partition map it trained under in its ``shard_parts`` rider.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -60,8 +60,8 @@ from ...graph.shard_map import ShardMap
 from ...sampling.base import MiniBatch
 from ..core import PlannedIteration
 from ..stage_pipeline import StagePipeline
+from .base import RunReport
 from .options import ShardedOptions
-from .process_pipelined import ProcessPipelinedReport
 from .process_sampling import ProcessSamplingBackend
 
 #: The partitioners a sharded backend can be constructed with.
@@ -315,45 +315,6 @@ class ShardStagePipeline(StagePipeline):
 
 
 # ---------------------------------------------------------------------------
-# Report
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ShardedReport(ProcessPipelinedReport):
-    """A :class:`ProcessPipelinedReport` plus the partition evidence and
-    the interconnect accounting the sharded plane owes its tier.
-
-    ``shard_parts`` is the partition map the run trained under — the
-    conformance kit's cross-node assertion keys off it: every target a
-    worker echoed must be owned by that worker's shard.
-    ``shard_io`` holds one record per (iteration, worker) minibatch:
-    ``{iteration, worker, local_rows, remote_rows, cache_hits,
-    local_bytes, remote_bytes}``. The aggregate properties below read
-    the same totals off ``kernel_stats`` (the workers' counter deltas),
-    so per-minibatch records and per-run totals are independently
-    sourced and cross-checkable.
-    """
-
-    shard_parts: np.ndarray | None = None
-    shard_io: list[dict] = field(default_factory=list)
-
-    @property
-    def local_gather_bytes(self) -> int:
-        return int(self.kernel_stats.get("shard_local_bytes", 0))
-
-    @property
-    def remote_gather_bytes(self) -> int:
-        return int(self.kernel_stats.get("shard_remote_bytes", 0))
-
-    @property
-    def remote_cache_hit_rate(self) -> float:
-        hits = self.kernel_stats.get("remote_cache_hits", 0)
-        misses = self.kernel_stats.get("remote_cache_misses", 0)
-        total = hits + misses
-        return hits / total if total else 0.0
-
-
-# ---------------------------------------------------------------------------
 # Parent-side backend
 # ---------------------------------------------------------------------------
 
@@ -422,7 +383,9 @@ class ShardedBackend(ProcessSamplingBackend):
                 partition_seed=self.partition_seed,
                 remote_cache_rows=self.remote_cache_rows))
 
-    def _make_report(self, iterations: int, n: int) -> ShardedReport:
-        return ShardedReport(iterations=iterations, num_workers=n,
-                             worker_targets=[[] for _ in range(n)],
-                             shard_parts=self.shard_map.parts)
+    def _make_report(self, iterations: int, n: int) -> RunReport:
+        """Adds the ``shard_parts`` rider: the map this run trains
+        under."""
+        report = super()._make_report(iterations, n)
+        report.shard_parts = self.shard_map.parts
+        return report

@@ -25,6 +25,23 @@ class TestThreadedExecutor:
         assert rep.protocol_log.count(0, Signal.DONE) == 3
         assert rep.protocol_log.count(0, Signal.SYNC) == 1
 
+    @pytest.mark.parametrize("timeout_s", [0, -1.0])
+    def test_non_positive_timeout_rejected_at_construction(
+            self, tiny_ds, exec_cfg, timeout_s):
+        """A zero watchdog would fail the first handshake as a
+        ``StageTimeoutError``; reject it up front, like every other
+        live plane."""
+        from repro.config import SystemConfig
+        from repro.runtime import TrainingSession, build_backend
+        session = TrainingSession(tiny_ds, exec_cfg,
+                                  SystemConfig(drm=False),
+                                  num_trainers=2)
+        with pytest.raises(ProtocolError, match="timeout_s"):
+            build_backend("threaded", session, timeout_s=timeout_s)
+        with pytest.raises(ProtocolError, match="timeout_s"):
+            ThreadedExecutor(tiny_ds, exec_cfg, num_trainers=2,
+                             timeout_s=timeout_s)
+
     def test_replicas_consistent_after_run(self, tiny_ds, exec_cfg):
         ex = ThreadedExecutor(tiny_ds, exec_cfg, num_trainers=2,
                               timeout_s=30)

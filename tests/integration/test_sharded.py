@@ -12,7 +12,7 @@ plane specifically owes:
 * the dealer's apportionment arithmetic in isolation, including the
   empty-shard edge a ``num_parts > num_vertices``-style map produces;
 * the interconnect accounting: per-minibatch local/remote gather bytes
-  in :attr:`ShardedReport.shard_io` that reconcile exactly with the
+  in the report's ``shard_io`` that reconcile exactly with the
   run-total counters in ``report.kernel_stats``, and the locality
   pin — on a clustered (power-law) graph, bfs partitioning plus a
   degree-aware remote cache must move strictly fewer remote bytes

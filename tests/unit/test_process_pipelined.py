@@ -20,8 +20,12 @@ from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
 from repro.runtime import LookaheadDealer
-from repro.runtime.backends.process_pipelined import ProcessPipelinedReport
-from repro.runtime.stage_chain import CHAIN_STAGES, StageStats
+from repro.runtime import RunReport
+from repro.runtime.stage_chain import (
+    CHAIN_STAGES,
+    StageStats,
+    fold_stage_stats,
+)
 from repro.runtime.core import BatchPlan
 from repro.runtime.shm import SharedPrefetchSpec
 
@@ -159,11 +163,13 @@ class TestLookaheadDealer:
 
 class TestProcessPipelinedReport:
     def test_overlap_summary_without_depth_changes(self):
-        rep = ProcessPipelinedReport(iterations=2, num_workers=1)
+        rep = RunReport(iterations=2, num_workers=1,
+                        stage_stats={"sample": fold_stage_stats(
+                            "sample", [])})
         assert "depth=static" in rep.overlap_summary()
 
     def test_overlap_summary_aggregates_stages(self):
-        rep = ProcessPipelinedReport(iterations=2, num_workers=1)
+        rep = RunReport(iterations=2, num_workers=1)
         rep.depth_history = [(0, 2), (1, 4)]
         for stage in CHAIN_STAGES:
             rep.stage_stats[stage] = StageStats(
@@ -176,9 +182,9 @@ class TestProcessPipelinedReport:
 
     def test_inherits_worker_coverage_fields(self):
         """The statistical tier's per-worker partition assertion keys
-        off these fields — they must survive the subclassing."""
-        rep = ProcessPipelinedReport(iterations=1, num_workers=2,
-                                     worker_targets=[[], []])
+        off these riders, which the worker-sampling plane sets."""
+        rep = RunReport(iterations=1, num_workers=2,
+                        trained_targets=[], worker_targets=[[], []])
         assert rep.trained_targets == []
         assert rep.worker_targets == [[], []]
 
